@@ -10,11 +10,6 @@
      BENCH_SCALE    — divide structure sizes by this (default 1)
      BENCH_SKIP_MICRO=1 — skip the Bechamel section
 
-   `main.exe perf` runs the pinned perf-trajectory matrix instead of
-   the figure suite and writes a machine-readable summary (default
-   BENCH.json, override with BENCH_PERF_OUT) for tools/bench_check —
-   same output as `cdrc-bench perf`, reachable without cmdliner.
-
    See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
    paper-vs-measured record. *)
 
@@ -148,37 +143,7 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
-let run_perf () =
-  let out = getenv_default "BENCH_PERF_OUT" "BENCH.json" in
-  let label = Filename.remove_extension (Filename.basename out) in
-  Format.printf "cdrc_repro perf matrix — threads=%s duration=%.2fs out=%s@."
-    (String.concat "," (List.map string_of_int threads))
-    duration out;
-  let s =
-    Workload.Perf_runner.run ~label ~threads ~duration
-      ~log:(fun m -> Format.eprintf "perf: %s@." m)
-      ()
-  in
-  (match
-     Obs.Perf.validate ~require_schemes:Workload.Perf_runner.required_schemes s
-   with
-  | Ok () -> ()
-  | Error e ->
-      Format.eprintf "perf: summary INVALID: %s@." e;
-      exit 1);
-  let oc = open_out out in
-  output_string oc (Obs.Perf.to_string s);
-  output_char oc '\n';
-  close_out oc;
-  Format.printf "perf summary written to %s (%d cells, %d atomic profiles)@." out
-    (List.length s.Obs.Perf.s_cells)
-    (List.length s.Obs.Perf.s_atomics)
-
 let () =
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "perf" then begin
-    run_perf ();
-    exit 0
-  end;
   Format.printf
     "cdrc_repro benchmark suite — threads=%s duration=%.2fs scale=%d (1 = paper sizes)@."
     (String.concat "," (List.map string_of_int threads))

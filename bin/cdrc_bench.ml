@@ -146,80 +146,10 @@ let adaptivity_cmd =
           knobs do not (exit 1 on violation)")
     Term.(const run $ iters_arg $ bound_arg $ out_arg)
 
-let perf_cmd =
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the JSON summary to FILE (default: stdout).")
-  in
-  let label_arg =
-    Arg.(
-      value & opt string "perf"
-      & info [ "label" ] ~docv:"LABEL" ~doc:"Label recorded in the summary's meta block.")
-  in
-  let keys_arg =
-    Arg.(
-      value
-      & opt int Workload.Perf_runner.default_scale
-      & info [ "keys" ] ~docv:"N" ~doc:"Structure size (elements / key range) per cell.")
-  in
-  let validate_arg =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:
-            "Validate the emitted summary (schema sanity + coverage of all 7 reclamation \
-             schemes); exit 1 on failure.")
-  in
-  let run threads duration keys label out validate =
-    let log m = Printf.eprintf "perf: %s\n%!" m in
-    let s = Workload.Perf_runner.run ~label ~threads ~duration ~scale:keys ~log () in
-    let json = Obs.Perf.to_string s in
-    (match out with
-    | None -> print_endline json
-    | Some f ->
-        let oc = open_out f in
-        output_string oc json;
-        output_char oc '\n';
-        close_out oc;
-        Printf.eprintf "perf: wrote %s (%d cells, %d atomic profiles)\n%!" f
-          (List.length s.Obs.Perf.s_cells)
-          (List.length s.Obs.Perf.s_atomics));
-    if validate then
-      match
-        Obs.Perf.validate ~require_schemes:Workload.Perf_runner.required_schemes s
-      with
-      | Ok () -> Printf.eprintf "perf: summary valid\n%!"
-      | Error e ->
-          Printf.eprintf "perf: summary INVALID: %s\n%!" e;
-          exit 1
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:
-         "Run the pinned perf-trajectory matrix (every scheme x stack/queue/hash x \
-          thread count) with telemetry on and emit a machine-readable BENCH_*.json \
-          summary; gate it against a baseline with tools/bench_check")
-    Term.(
-      const run $ threads_arg $ duration_arg $ keys_arg $ label_arg $ out_arg
-      $ validate_arg)
-
 let stats_cmd =
   let exp_arg =
     let doc = "Experiment to instrument: fig11, fig13a-f, fig12, robustness or chaos." in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
-  in
-  let perf_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "perf" ] ~docv:"FILE"
-          ~doc:
-            "Instead of running an experiment, render the perf summary in FILE (a \
-             BENCH_*.json from the perf subcommand) as a per-scheme breakdown table \
-             including atomics-per-op.")
   in
   let json_arg =
     Arg.(
@@ -234,18 +164,12 @@ let stats_cmd =
             "Validate the exported trace JSONL and assert required metric keys are \
              nonzero; exit 1 on failure.")
   in
-  let run threads duration schemes scale json check perf exp =
-    match (perf, exp) with
-    | Some file, _ -> (
-        match Obs.Perf.load_file file with
-        | Error e ->
-            Format.eprintf "stats: %s@." e;
-            exit 2
-        | Ok s -> Format.printf "%a@." Obs.Perf.pp s)
-    | None, None ->
-        Format.eprintf "stats: an EXPERIMENT is required (or --perf FILE)@.";
+  let run threads duration schemes scale json check exp =
+    match exp with
+    | None ->
+        Format.eprintf "stats: an EXPERIMENT is required@.";
         exit 2
-    | None, Some exp ->
+    | Some exp ->
         let code =
           Workload.Experiments.run_stats ~threads ~duration ~schemes ~scale ~json ~check
             exp
@@ -256,11 +180,10 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Run an experiment with telemetry enabled: metric tree, reclamation-latency \
-          percentiles, and an event trace in results/trace-<EXPERIMENT>.jsonl. With \
-          --perf FILE, render a saved perf summary instead.")
+          percentiles, and an event trace in results/trace-<EXPERIMENT>.jsonl.")
     Term.(
       const run $ threads_arg $ duration_arg $ schemes_arg $ scale_arg $ json_arg
-      $ check_arg $ perf_arg $ exp_arg)
+      $ check_arg $ exp_arg)
 
 let obs_overhead_cmd =
   let repeats_arg =
@@ -437,19 +360,7 @@ let kv_cmd =
                   exit 2)
             mixes
         in
-        let selected =
-          match schemes with
-          | [] -> Workload.Instances.kv_services
-          | names ->
-              List.map
-                (fun n ->
-                  match Workload.Instances.find_kv n with
-                  | Some inst -> inst
-                  | None ->
-                      Format.eprintf "kv: unknown scheme %S@." n;
-                      exit 2)
-                names
-        in
+        let selected = Workload.Instances.select_kv schemes in
         let spec =
           {
             Workload.Kv_runner.default_spec with
@@ -569,16 +480,7 @@ let chaos_cmd =
             ch_validate = validate;
           }
         in
-        let schemes =
-          match schemes with
-          | [] -> Workload.Chaos_runner.base_schemes
-          | names -> (
-              match Workload.Chaos_runner.find_schemes names with
-              | [] ->
-                  prerr_endline "no matching schemes";
-                  exit 2
-              | l -> l)
-        in
+        let schemes = Workload.Chaos_runner.select_schemes schemes in
         let ok, _ = Workload.Chaos_runner.run_all ~spec ~schemes () in
         if not ok then exit 1
   in
@@ -714,8 +616,14 @@ let () =
     List.map run_set_exp_cmd Workload.Experiments.set_experiments
     @ [
         fig12_cmd; abl_sticky_cmd; abl_epochfreq_cmd; abl_hpslots_cmd; ext_stack_cmd;
-        robustness_cmd; adaptivity_cmd; stats_cmd; obs_overhead_cmd; perf_cmd;
-        kv_cmd; chaos_cmd; custom_cmd; explore_cmd;
+        robustness_cmd; adaptivity_cmd; stats_cmd; obs_overhead_cmd; kv_cmd; chaos_cmd;
+        custom_cmd; explore_cmd;
       ]
   in
-  exit (Cmd.eval (Cmd.group info cmds))
+  (* Every --schemes consumer resolves its names through
+     [Instances.select], which rejects an unknown one before any run. *)
+  match Cmd.eval ~catch:false (Cmd.group info cmds) with
+  | code -> exit code
+  | exception Workload.Instances.Unknown_scheme n ->
+      Format.eprintf "cdrc-bench: unknown scheme %S@." n;
+      exit 2

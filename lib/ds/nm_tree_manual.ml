@@ -244,13 +244,26 @@ module Make (S : Smr.Smr_intf.S) = struct
          shows is easy to get wrong (Fig 1a); reference counting makes
          it disappear (see Nm_tree_rc). *)
       let stop = es.dest in
+      let is_stop = function
+        | Some m -> ( match stop with Some sib -> m == sib | None -> false)
+        | None -> false
+      in
       let rec retire_chain (n : node Ar.managed) =
         let at_stop = match stop with Some sib -> n == sib | None -> false in
         if not at_stop then begin
           let node = deref n in
           let el = Atomic.get node.left in
           let er = Atomic.get node.right in
-          let excised, next = if el.flag then (el.dest, er.dest) else (er.dest, el.dest) in
+          (* The child equal to [stop] is the continuation even when its
+             edge is flagged too: a concurrent remover of the sibling
+             leaf flags it, but the swung ancestor edge still reaches
+             it, so that remover (not us) retires it. *)
+          let excised, next =
+            if is_stop el.dest then (er.dest, el.dest)
+            else if is_stop er.dest then (el.dest, er.dest)
+            else if el.flag then (el.dest, er.dest)
+            else (er.dest, el.dest)
+          in
           (match excised with
           | Some fm -> Ar.retire_free c.t.ar ~pid:c.pid fm
           | None -> ());

@@ -1,55 +1,9 @@
-(* Versioned, machine-readable perf summaries (DESIGN.md §11).
-
-   One summary is one point on the repo's perf trajectory: per
-   scheme×structure×thread-count throughput, retire→free latency
-   quantiles, eject batch-size quantiles and peak live/backlog memory,
-   plus the exact atomic-op profiles of the lock-free cores measured
-   over the counting shim ([Sched.Counting]). `cdrc-bench perf` emits
-   one per PR as `BENCH_PR<N>.json`; `tools/bench_check` compares two
-   of them and gates regressions.
-
-   Everything here is dependency-free by design: the JSON encoder and
-   the (strict, recursive-descent) parser live side by side so the
-   comparator, the tests and the CLI all read the same schema without
-   pulling a JSON library into the build. *)
-
-let schema_version = 1
-
-(* ------------------------------------------------------------------ *)
-(* Schema *)
-
-type quantiles = { q_count : int; q_p50 : int; q_p99 : int; q_p999 : int }
-
-let quantiles_empty = { q_count = 0; q_p50 = 0; q_p99 = 0; q_p999 = 0 }
-
-(** Quantiles of merged [Histo] bucket counts — the same nearest-rank
-    computation [Histo.percentiles] performs, over an externally
-    accumulated bucket array (so callers can merge several histograms
-    before extracting). *)
-let quantiles_of_counts counts =
-  let count = Array.fold_left ( + ) 0 counts in
-  if count = 0 then quantiles_empty
-  else
-    let p x = Option.value ~default:0 (Histo.percentile_of_counts counts x) in
-    { q_count = count; q_p50 = p 50.0; q_p99 = p 99.0; q_p999 = p 99.9 }
-
-type cell = {
-  c_scheme : string;
-  c_structure : string;  (** "stack" | "queue" | "hash" *)
-  c_threads : int;
-  c_ops : int;
-  c_mops : float;
-  c_reclaim : quantiles;  (** retire→free latency, operation ticks *)
-  c_eject_batch : quantiles;
-  c_peak_live : int;  (** sampled max of allocated-but-unreclaimed blocks *)
-  c_peak_backlog : int;  (** sampled max of retired-but-unreclaimed entries *)
-  c_leaked : int;  (** live blocks after teardown; nonzero only for None *)
-}
-
-let cell_key c = Printf.sprintf "%s/%s/%d" c.c_scheme c.c_structure c.c_threads
+(* Atomic-op profiles of the lock-free cores (DESIGN.md §11), counted
+   over the counting shim ([Sched.Counting]) by
+   [Workload.Perf_runner.atomic_profiles]. *)
 
 type atomic_profile = {
-  a_core : string;  (** "sticky_counter" | "slot_protocol" | "rc_cell" *)
+  a_core : string;  (** "sticky" | "slot" | "rc_cell" *)
   a_op : string;  (** pinned script name, e.g. "inc_dec" *)
   a_ops : int;  (** operations the script executed *)
   a_gets : int;
@@ -64,511 +18,3 @@ let atomics_total a = a.a_gets + a.a_sets + a.a_exchanges + a.a_cas + a.a_faa
 
 let atomics_per_op a =
   if a.a_ops = 0 then 0.0 else float_of_int (atomics_total a) /. float_of_int a.a_ops
-
-type meta = {
-  m_label : string;  (** trajectory point name, e.g. "BENCH_PR7" *)
-  m_git_sha : string;
-  m_host_domains : int;  (** [Domain.recommended_domain_count] at run time *)
-  m_duration : float;  (** measured seconds per cell *)
-  m_threads : int list;
-  m_scale : int;  (** structure-size divisor (1 = pinned sizes) *)
-}
-
-type summary = { s_meta : meta; s_cells : cell list; s_atomics : atomic_profile list }
-
-(* ------------------------------------------------------------------ *)
-(* Encoding *)
-
-let buf_addf b fmt = Printf.ksprintf (Buffer.add_string b) fmt
-
-(* Floats are emitted with fixed precision so summaries are diff-stable
-   and round-trip through the parser bit-identically at this
-   resolution (the tests rely on that, not on %.17g exactness). *)
-let float_str f = Printf.sprintf "%.6f" f
-
-let add_quantiles b q =
-  buf_addf b "{\"count\":%d,\"p50\":%d,\"p99\":%d,\"p999\":%d}" q.q_count q.q_p50 q.q_p99
-    q.q_p999
-
-let add_cell b c =
-  buf_addf b "{\"scheme\":\"%s\",\"structure\":\"%s\",\"threads\":%d,\"ops\":%d,\"mops\":%s,"
-    (Trace.json_escape c.c_scheme)
-    (Trace.json_escape c.c_structure)
-    c.c_threads c.c_ops (float_str c.c_mops);
-  Buffer.add_string b "\"reclaim_latency\":";
-  add_quantiles b c.c_reclaim;
-  Buffer.add_string b ",\"eject_batch\":";
-  add_quantiles b c.c_eject_batch;
-  buf_addf b ",\"peak_live\":%d,\"peak_backlog\":%d,\"leaked\":%d}" c.c_peak_live
-    c.c_peak_backlog c.c_leaked
-
-let add_atomic b a =
-  buf_addf b
-    "{\"core\":\"%s\",\"op\":\"%s\",\"ops\":%d,\"get\":%d,\"set\":%d,\"exchange\":%d,\"cas\":%d,\"cas_fail\":%d,\"faa\":%d}"
-    (Trace.json_escape a.a_core) (Trace.json_escape a.a_op) a.a_ops a.a_gets a.a_sets
-    a.a_exchanges a.a_cas a.a_cas_failures a.a_faa
-
-let to_string s =
-  let b = Buffer.create 8192 in
-  buf_addf b "{\"schema_version\":%d,\"meta\":{" schema_version;
-  buf_addf b "\"label\":\"%s\",\"git_sha\":\"%s\",\"host_domains\":%d,"
-    (Trace.json_escape s.s_meta.m_label)
-    (Trace.json_escape s.s_meta.m_git_sha)
-    s.s_meta.m_host_domains;
-  buf_addf b "\"duration_s\":%s,\"threads\":[%s],\"scale\":%d},"
-    (float_str s.s_meta.m_duration)
-    (String.concat "," (List.map string_of_int s.s_meta.m_threads))
-    s.s_meta.m_scale;
-  Buffer.add_string b "\"cells\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      add_cell b c)
-    s.s_cells;
-  Buffer.add_string b "],\"atomics\":[";
-  List.iteri
-    (fun i a ->
-      if i > 0 then Buffer.add_char b ',';
-      add_atomic b a)
-    s.s_atomics;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Parsing *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jlist of json list
-  | Jobj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let next () =
-    if !pos >= n then fail "unexpected end";
-    let c = s.[!pos] in
-    incr pos;
-    c
-  in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        incr pos;
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    let got = next () in
-    if got <> c then fail (Printf.sprintf "expected %c, got %c" c got)
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match next () with
-      | '"' -> Buffer.contents b
-      | '\\' ->
-          (match next () with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'u' ->
-              let h = ref 0 in
-              for _ = 1 to 4 do
-                let c = next () in
-                let d =
-                  match c with
-                  | '0' .. '9' -> Char.code c - Char.code '0'
-                  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-                  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-                  | _ -> fail "bad \\u escape"
-                in
-                h := (!h * 16) + d
-              done;
-              (* Our own encoder never emits non-ASCII escapes; map the
-                 rest to '?' rather than implementing UTF-8. *)
-              Buffer.add_char b (if !h < 128 then Char.chr !h else '?')
-          | _ -> fail "bad escape");
-          go ()
-      | c when Char.code c < 0x20 -> fail "control char in string"
-      | c ->
-          Buffer.add_char b c;
-          go ()
-    in
-    go ()
-  in
-  let number () =
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    let digits () =
-      let d0 = !pos in
-      while (match peek () with Some ('0' .. '9') -> true | _ -> false) do
-        incr pos
-      done;
-      if !pos = d0 then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      incr pos;
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        incr pos;
-        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-        digits ()
-    | _ -> ());
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let keyword k v =
-    String.iter (fun c -> if next () <> c then fail ("expected " ^ k)) k;
-    v
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (string_lit ())
-    | Some ('-' | '0' .. '9') -> Jnum (number ())
-    | Some 't' -> keyword "true" (Jbool true)
-    | Some 'f' -> keyword "false" (Jbool false)
-    | Some 'n' -> keyword "null" Jnull
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Jlist []
-        end
-        else begin
-          let rec items acc =
-            let v = value () in
-            skip_ws ();
-            match next () with
-            | ',' -> items (v :: acc)
-            | ']' -> Jlist (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          items []
-        end
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Jobj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match next () with
-            | ',' -> members ((k, v) :: acc)
-            | '}' -> Jobj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-        end
-    | _ -> fail "expected value"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-(* Field accessors over the generic tree, failing with the path. *)
-let field obj name =
-  match obj with
-  | Jobj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> v
-      | None -> raise (Parse_error ("missing field " ^ name)))
-  | _ -> raise (Parse_error ("expected object for field " ^ name))
-
-let jint name = function
-  | Jnum f -> int_of_float f
-  | _ -> raise (Parse_error (name ^ ": expected number"))
-
-let jfloat name = function
-  | Jnum f -> f
-  | _ -> raise (Parse_error (name ^ ": expected number"))
-
-let jstr name = function
-  | Jstr s -> s
-  | _ -> raise (Parse_error (name ^ ": expected string"))
-
-let jlist name = function
-  | Jlist l -> l
-  | _ -> raise (Parse_error (name ^ ": expected array"))
-
-let quantiles_of_json j =
-  {
-    q_count = jint "count" (field j "count");
-    q_p50 = jint "p50" (field j "p50");
-    q_p99 = jint "p99" (field j "p99");
-    q_p999 = jint "p999" (field j "p999");
-  }
-
-let cell_of_json j =
-  {
-    c_scheme = jstr "scheme" (field j "scheme");
-    c_structure = jstr "structure" (field j "structure");
-    c_threads = jint "threads" (field j "threads");
-    c_ops = jint "ops" (field j "ops");
-    c_mops = jfloat "mops" (field j "mops");
-    c_reclaim = quantiles_of_json (field j "reclaim_latency");
-    c_eject_batch = quantiles_of_json (field j "eject_batch");
-    c_peak_live = jint "peak_live" (field j "peak_live");
-    c_peak_backlog = jint "peak_backlog" (field j "peak_backlog");
-    c_leaked = jint "leaked" (field j "leaked");
-  }
-
-let atomic_of_json j =
-  {
-    a_core = jstr "core" (field j "core");
-    a_op = jstr "op" (field j "op");
-    a_ops = jint "ops" (field j "ops");
-    a_gets = jint "get" (field j "get");
-    a_sets = jint "set" (field j "set");
-    a_exchanges = jint "exchange" (field j "exchange");
-    a_cas = jint "cas" (field j "cas");
-    a_cas_failures = jint "cas_fail" (field j "cas_fail");
-    a_faa = jint "faa" (field j "faa");
-  }
-
-let meta_of_json j =
-  {
-    m_label = jstr "label" (field j "label");
-    m_git_sha = jstr "git_sha" (field j "git_sha");
-    m_host_domains = jint "host_domains" (field j "host_domains");
-    m_duration = jfloat "duration_s" (field j "duration_s");
-    m_threads = List.map (jint "threads") (jlist "threads" (field j "threads"));
-    m_scale = jint "scale" (field j "scale");
-  }
-
-let summary_of_string str : (summary, string) result =
-  try
-    let j = parse_json str in
-    let v = jint "schema_version" (field j "schema_version") in
-    if v <> schema_version then
-      Error (Printf.sprintf "schema_version %d (this build reads %d)" v schema_version)
-    else
-      Ok
-        {
-          s_meta = meta_of_json (field j "meta");
-          s_cells = List.map cell_of_json (jlist "cells" (field j "cells"));
-          s_atomics = List.map atomic_of_json (jlist "atomics" (field j "atomics"));
-        }
-  with
-  | Parse_error msg -> Error msg
-  | Failure msg -> Error msg
-
-let load_file path : (summary, string) result =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | exception End_of_file -> Error (path ^ ": truncated")
-  | str -> (
-      match summary_of_string (String.trim str) with
-      | Ok s -> Ok s
-      | Error e -> Error (path ^ ": " ^ e))
-
-(* ------------------------------------------------------------------ *)
-(* Validation *)
-
-let quantiles_valid q =
-  q.q_count >= 0 && q.q_p50 <= q.q_p99 && q.q_p99 <= q.q_p999
-  && (q.q_count > 0 || q = quantiles_empty)
-
-(** Schema-level sanity: non-empty cell matrix, unique cell keys,
-    ordered quantiles, non-negative figures, and (optionally) coverage
-    of [require_schemes]. This is what the CI smoke asserts about a
-    freshly emitted summary before gating against the baseline. *)
-let validate ?(require_schemes = []) s =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let rec check_cells seen = function
-    | [] -> Ok ()
-    | c :: rest ->
-        let key = cell_key c in
-        if List.mem key seen then err "duplicate cell %s" key
-        else if c.c_threads < 1 then err "%s: threads < 1" key
-        else if c.c_ops < 0 || c.c_mops < 0.0 then err "%s: negative throughput" key
-        else if c.c_peak_live < 0 || c.c_peak_backlog < 0 || c.c_leaked < 0 then
-          err "%s: negative memory figure" key
-        else if not (quantiles_valid c.c_reclaim) then
-          err "%s: unordered reclaim quantiles" key
-        else if not (quantiles_valid c.c_eject_batch) then
-          err "%s: unordered eject quantiles" key
-        else check_cells (key :: seen) rest
-  in
-  if s.s_cells = [] then Error "no cells"
-  else
-    match check_cells [] s.s_cells with
-    | Error _ as e -> e
-    | Ok () -> (
-        let missing =
-          List.filter
-            (fun sch -> not (List.exists (fun c -> c.c_scheme = sch) s.s_cells))
-            require_schemes
-        in
-        match missing with
-        | sch :: _ -> err "scheme %s has no cell" sch
-        | [] ->
-            if s.s_atomics = [] then Error "no atomic profiles"
-            else if List.exists (fun a -> a.a_ops <= 0) s.s_atomics then
-              Error "atomic profile with ops <= 0"
-            else Ok ())
-
-(* ------------------------------------------------------------------ *)
-(* Comparison (the regression gate) *)
-
-type regression = {
-  r_key : string;  (** [cell_key] of the offending cell *)
-  r_metric : string;  (** ["throughput"] or ["reclaim_p99"] *)
-  r_old : float;
-  r_new : float;
-  r_delta_pct : float;  (** signed change, negative = worse throughput *)
-  r_allowed : bool;  (** matched the allowlist *)
-}
-
-(* p99 latencies below this many operation ticks are bucket-resolution
-   noise (the histogram is log-scale: 1 → 2 is one bucket and +100%);
-   regressions are only reported once either side clears the floor. *)
-let latency_floor = 8
-
-let allow_matches entries key =
-  List.exists
-    (fun e -> e = key || String.starts_with ~prefix:(e ^ "/") key)
-    entries
-
-(** Compare [cand] against [base] cell-by-cell over the intersection of
-    cell keys. A throughput drop beyond [throughput_tol] percent or a
-    p99 retire→free latency growth beyond [latency_tol] percent is a
-    regression; cells matched by [allow] (exact key, or a prefix like
-    ["EBR/stack"] or ["EBR"]) are still reported but flagged allowed.
-    Returns the regression list and the number of cells compared. *)
-let compare_summaries ?(throughput_tol = 15.0) ?(latency_tol = 25.0) ?(allow = [])
-    (base : summary) (cand : summary) : regression list * int =
-  let compared = ref 0 in
-  let regs = ref [] in
-  List.iter
-    (fun (nc : cell) ->
-      match
-        List.find_opt
-          (fun (oc : cell) -> cell_key oc = cell_key nc)
-          base.s_cells
-      with
-      | None -> ()
-      | Some oc ->
-          incr compared;
-          let key = cell_key nc in
-          let allowed = allow_matches allow key in
-          if oc.c_mops > 0.0 && nc.c_mops < oc.c_mops *. (1.0 -. (throughput_tol /. 100.0))
-          then
-            regs :=
-              {
-                r_key = key;
-                r_metric = "throughput";
-                r_old = oc.c_mops;
-                r_new = nc.c_mops;
-                r_delta_pct = 100.0 *. ((nc.c_mops /. oc.c_mops) -. 1.0);
-                r_allowed = allowed;
-              }
-              :: !regs;
-          let op99 = oc.c_reclaim.q_p99 and np99 = nc.c_reclaim.q_p99 in
-          if
-            oc.c_reclaim.q_count > 0 && nc.c_reclaim.q_count > 0
-            && (op99 >= latency_floor || np99 >= latency_floor)
-            && op99 > 0
-            && float_of_int np99
-               > float_of_int op99 *. (1.0 +. (latency_tol /. 100.0))
-          then
-            regs :=
-              {
-                r_key = key;
-                r_metric = "reclaim_p99";
-                r_old = float_of_int op99;
-                r_new = float_of_int np99;
-                r_delta_pct = 100.0 *. ((float_of_int np99 /. float_of_int op99) -. 1.0);
-                r_allowed = allowed;
-              }
-              :: !regs)
-    cand.s_cells;
-  (List.rev !regs, !compared)
-
-(** True iff any regression is not allowlisted — the comparator's
-    exit-1 condition. *)
-let failed regs = List.exists (fun r -> not r.r_allowed) regs
-
-let pp_regression ppf r =
-  Format.fprintf ppf "%-8s %-28s %10.3f -> %10.3f  (%+.1f%%)%s"
-    (match r.r_metric with "throughput" -> "Mops/s" | m -> m)
-    r.r_key r.r_old r.r_new r.r_delta_pct
-    (if r.r_allowed then "  [allowlisted]" else "")
-
-(* ------------------------------------------------------------------ *)
-(* Rendering (`stats --perf`) *)
-
-let pp ppf s =
-  let m = s.s_meta in
-  Format.fprintf ppf "== perf summary: %s (sha %s, %d host domains, %.2fs/cell, scale %d) ==@.@."
-    m.m_label m.m_git_sha m.m_host_domains m.m_duration m.m_scale;
-  let structures =
-    List.fold_left
-      (fun acc c -> if List.mem c.c_structure acc then acc else acc @ [ c.c_structure ])
-      [] s.s_cells
-  in
-  List.iter
-    (fun st ->
-      Format.fprintf ppf "-- %s --@." st;
-      Format.fprintf ppf "%-14s %-4s %10s %12s %21s %13s %10s %9s %7s@." "scheme" "P"
-        "Mops/s" "ops" "reclaim p50/p99/p999" "eject p50/p99" "peak-live" "backlog"
-        "leaked";
-      List.iter
-        (fun c ->
-          if c.c_structure = st then
-            Format.fprintf ppf "%-14s %-4d %10.3f %12d %9s %13s %10d %9d %7d@."
-              c.c_scheme c.c_threads c.c_mops c.c_ops
-              (if c.c_reclaim.q_count = 0 then "-"
-               else
-                 Printf.sprintf "%d/%d/%d" c.c_reclaim.q_p50 c.c_reclaim.q_p99
-                   c.c_reclaim.q_p999)
-              (if c.c_eject_batch.q_count = 0 then "-"
-               else Printf.sprintf "%d/%d" c.c_eject_batch.q_p50 c.c_eject_batch.q_p99)
-              c.c_peak_live c.c_peak_backlog c.c_leaked)
-        s.s_cells;
-      Format.fprintf ppf "@.")
-    structures;
-  if s.s_atomics <> [] then begin
-    Format.fprintf ppf
-      "-- atomic-op profile (counting shim, exact per-op costs of the lock-free cores) --@.";
-    Format.fprintf ppf "%-16s %-18s %10s %6s %6s %6s %10s %6s@." "core" "op" "atomics/op"
-      "get" "set" "xchg" "cas(fail)" "faa";
-    List.iter
-      (fun a ->
-        Format.fprintf ppf "%-16s %-18s %10.2f %6d %6d %6d %6d(%d) %6d@." a.a_core a.a_op
-          (atomics_per_op a) a.a_gets a.a_sets a.a_exchanges a.a_cas a.a_cas_failures
-          a.a_faa)
-      s.s_atomics;
-    Format.fprintf ppf "@."
-  end

@@ -70,11 +70,7 @@ let base_schemes : (string * (module Smr.Smr_intf.S)) list =
     ("None", (module Smr.Leaky));
   ]
 
-let find_schemes names =
-  let wanted = List.map Instances.normalize_name names in
-  List.filter
-    (fun (n, _) -> List.mem (Instances.normalize_name n) wanted)
-    base_schemes
+let select_schemes names = Instances.select (fun (n, _) -> [ n ]) base_schemes names
 
 (* Schemes whose garbage stays bounded under a stalled thread (the
    paper's robustness column); EBR/Hyaline pin everything behind a

@@ -95,13 +95,8 @@ let run_set_instance (module D : Ds.Set_intf.S) spec =
 
 let run_set_exp ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(schemes = []) ?(scale = 1)
     ?(adapt = false) e =
+  let instances = Instances.select_sets e.structure schemes in
   Format.printf "@.== %s ==@.expected: %s@.@." e.title e.expected;
-  let instances =
-    match schemes with
-    | [] -> Instances.all_sets e.structure
-    | names ->
-        List.filter_map (fun n -> Instances.find_set e.structure n) names
-  in
   let results = ref [] in
   List.iter
     (fun p ->
@@ -128,25 +123,63 @@ let run_set_exp ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(schemes = []) ?(sca
     threads;
   List.rev !results
 
+(* Fig 12: a queue prefilled with P elements, P threads each popping
+   an element and pushing it back. A dequeue that finds the queue
+   empty is one operation; a successful one and its enqueue are two. *)
+type queue_result = {
+  q_scheme : string;
+  q_threads : int;
+  q_run : Run.outcome;
+  q_leaked : int;
+}
+
+let pp_queue_result ppf r =
+  Format.fprintf ppf "%-16s P=%-3d %8.3f Mops/s  ops=%-10d%s%s" r.q_scheme r.q_threads
+    (Run.mops r.q_run) r.q_run.total_ops
+    (if r.q_leaked > 0 then Printf.sprintf "  LEAK=%d" r.q_leaked else "")
+    (Run.failure_suffix ~uaf:r.q_run.uaf ~failures:r.q_run.failures)
+
+let run_queue_instance (module Q : Ds.Queue_intf.S) ~threads ~duration =
+  let q = Q.create ~max_threads:(threads + 1) () in
+  let c0 = Q.ctx q 0 in
+  for i = 1 to threads do
+    Q.enqueue c0 i
+  done;
+  Q.flush c0;
+  let o =
+    Run.run ~label:Q.name ~threads ~duration (fun pid ->
+        let c = Q.ctx q (pid + 1) in
+        fun w ->
+          while Run.running w do
+            let n = ref 0 in
+            for _ = 1 to 32 do
+              match Q.dequeue c with
+              | Some v ->
+                  Q.enqueue c v;
+                  n := !n + 2
+              | None -> incr n
+            done;
+            Run.count w !n
+          done;
+          Q.flush c)
+  in
+  Q.teardown q;
+  { q_scheme = Q.name; q_threads = threads; q_run = o; q_leaked = Q.live_objects q }
+
 let run_fig12 ?(threads = [ 1; 2; 4 ]) ?(duration = 0.4) ?(schemes = []) () =
+  let instances = Instances.select_queues schemes in
   Format.printf
     "@.== Fig 12: doubly-linked queue, P threads pop-then-push ==@.expected: Original > \
      ours (RC-weak) >> locked stand-in at high thread counts; ours within ~19-33%% of \
      Original beyond 1 thread@.@.";
-  let instances =
-    match schemes with
-    | [] -> Instances.queues
-    | names -> List.filter_map Instances.find_queue names
-  in
   let results = ref [] in
   List.iter
     (fun p ->
       List.iter
-        (fun (module Q : Ds.Queue_intf.S) ->
-          let module R = Queue_driver.Run (Q) in
-          let r = R.run ~threads:p ~duration () in
+        (fun q ->
+          let r = run_queue_instance q ~threads:p ~duration in
           results := r :: !results;
-          Format.printf "%a@." Queue_driver.pp_result r)
+          Format.printf "%a@." pp_queue_result r)
         instances;
       Format.printf "@.")
     threads;
@@ -164,27 +197,17 @@ let run_abl_sticky ?(threads = [ 1; 2; 4 ]) ?(duration = 0.3) () =
   let bench name inc dec =
     List.iter
       (fun p ->
-        let stop = Atomic.make false in
-        let ops = Array.make p 0 in
-        let worker pid () =
-          let n = ref 0 in
-          while not (Atomic.get stop) do
-            for _ = 1 to 64 do
-              if inc () then ignore (dec ())
-            done;
-            n := !n + 128
-          done;
-          ops.(pid) <- !n
+        let o =
+          Run.run ~label:name ~threads:p ~duration (fun _ w ->
+              while Run.running w do
+                for _ = 1 to 64 do
+                  if inc () then ignore (dec ())
+                done;
+                Run.count w 128
+              done)
         in
-        let t0 = Unix.gettimeofday () in
-        let ds = List.init p (fun pid -> Domain.spawn (worker pid)) in
-        Unix.sleepf duration;
-        Atomic.set stop true;
-        List.iter Domain.join ds;
-        let dt = Unix.gettimeofday () -. t0 in
-        let total = Array.fold_left ( + ) 0 ops in
-        Format.printf "%-8s P=%-3d %8.3f Mops/s@." name p
-          (Repro_util.Stats.throughput_mops ~ops:total ~seconds:dt))
+        Format.printf "%-8s P=%-3d %8.3f Mops/s%s@." name p (Run.mops o)
+          (Run.failure_suffix ~uaf:o.uaf ~failures:o.failures))
       threads
   in
   let s = Sticky.Sticky_counter.create 1 in
@@ -271,15 +294,18 @@ type robustness_result = {
   rb_leaked : int; (* after teardown *)
   rb_watchdog_fired : float option; (* seconds at which Stuck was reported *)
   rb_events : Fault.Fault_plan.event list;
+  rb_uaf : int;
+  rb_failures : int;
 }
 
 let pp_robustness_result ppf r =
   Format.fprintf ppf
-    "%-8s peak(stalled)=%-8d live@abandon=%-8d live@end=%-8d leaked=%-4d watchdog=%s"
+    "%-8s peak(stalled)=%-8d live@abandon=%-8d live@end=%-8d leaked=%-4d watchdog=%s%s"
     r.rb_scheme r.rb_peak_stalled r.rb_live_at_abandon r.rb_live_end r.rb_leaked
     (match r.rb_watchdog_fired with
     | Some s -> Printf.sprintf "stuck@%.2fs" s
     | None -> "quiet")
+    (Run.failure_suffix ~uaf:r.rb_uaf ~failures:r.rb_failures)
 
 let robustness_schemes : (module Smr.Smr_intf.S) list =
   [
@@ -310,54 +336,46 @@ let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S
   in
   let module St = Ds.Treiber_stack_manual.Make (FS) in
   let st = St.create ~max_threads:workers () in
-  let stop = Atomic.make false in
-  let abandoned = Atomic.make false in
-  let worker pid () =
+  let abandoned = ref false in
+  let worker pid =
     let c = St.ctx st pid in
     let rng = Repro_util.Rng.create ~seed:(seed + (pid * 7919)) in
-    while not (Atomic.get stop) do
-      if Fault.Fault_plan.stalled plan ~pid then
-        (* Parked: the thread is "preempted" holding its protection. *)
-        Unix.sleepf 0.001
-      else begin
-        St.push c (Repro_util.Rng.int rng 1000);
-        ignore (St.pop c)
-      end
-    done;
-    if not (Fault.Fault_plan.stalled plan ~pid) then St.flush c
+    fun w ->
+      while Run.running w do
+        if Fault.Fault_plan.stalled plan ~pid then
+          (* Parked: the thread is "preempted" holding its protection. *)
+          Unix.sleepf 0.001
+        else begin
+          St.push c (Repro_util.Rng.int rng 1000);
+          ignore (St.pop c);
+          Run.count w 2
+        end
+      done;
+      if not (Fault.Fault_plan.stalled plan ~pid) then St.flush c
   in
-  let t0 = Unix.gettimeofday () in
-  let domains = List.init workers (fun pid -> Domain.spawn (worker pid)) in
   let wd = St.Ar.watchdog ~threshold:3 ~slack:256 () in
   let watchdog_fired = ref None in
   let curve = ref [] in
   let peak_stalled = ref 0 in
   let live_at_abandon = ref 0 in
   let abandon_at = duration /. 2. in
-  let rec sample () =
-    let now = Unix.gettimeofday () -. t0 in
-    if now < duration then begin
-      let live = St.live_objects st in
-      curve := (now, live) :: !curve;
-      if not (Atomic.get abandoned) then begin
-        peak_stalled := max !peak_stalled live;
-        (match St.Ar.watchdog_check st.St.ar wd with
-        | St.Ar.Stuck _ when !watchdog_fired = None -> watchdog_fired := Some now
-        | _ -> ());
-        if now >= abandon_at then begin
-          (* Recovery: reap the stalled thread on its behalf. *)
-          live_at_abandon := live;
-          St.abandon st ~pid:victim;
-          Atomic.set abandoned true
-        end
-      end;
-      Unix.sleepf 0.002;
-      sample ()
+  let sample ~elapsed:now ~ops:_ =
+    let live = St.live_objects st in
+    curve := (now, live) :: !curve;
+    if not !abandoned then begin
+      peak_stalled := max !peak_stalled live;
+      (match St.Ar.watchdog_check st.St.ar wd with
+      | St.Ar.Stuck _ when !watchdog_fired = None -> watchdog_fired := Some now
+      | _ -> ());
+      if now >= abandon_at then begin
+        (* Recovery: reap the stalled thread on its behalf. *)
+        live_at_abandon := live;
+        St.abandon st ~pid:victim;
+        abandoned := true
+      end
     end
   in
-  sample ();
-  Atomic.set stop true;
-  List.iter Domain.join domains;
+  let o = Run.run ~label:S.name ~threads:workers ~duration ~period:0.002 ~sample worker in
   let live_end = St.live_objects st in
   St.teardown st;
   {
@@ -369,24 +387,18 @@ let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S
     rb_leaked = St.live_objects st;
     rb_watchdog_fired = !watchdog_fired;
     rb_events = Fault.Fault_plan.trace plan;
+    rb_uaf = o.uaf;
+    rb_failures = o.failures;
   }
 
 let run_robustness ?(duration = 1.0) ?(schemes = []) ?(seed = 42) ?out () =
+  let picked =
+    Instances.select (fun (module S : Smr.Smr_intf.S) -> [ S.name ]) robustness_schemes schemes
+  in
   Format.printf
     "@.== Robustness: one stalled thread, garbage growth and recovery by abandon \
      ==@.expected: EBR backlog grows unboundedly while stalled (watchdog trips); \
      HP/IBR/HE stay bounded; abandon restores leak-free reclamation everywhere@.@.";
-  let picked =
-    match schemes with
-    | [] -> robustness_schemes
-    | names ->
-        List.filter
-          (fun (module S : Smr.Smr_intf.S) ->
-            List.exists
-              (fun n -> Instances.normalize_name n = Instances.normalize_name S.name)
-              names)
-          robustness_schemes
-  in
   let results = List.map (run_robustness_one ~duration ~seed) picked in
   List.iter
     (fun r ->
@@ -427,7 +439,7 @@ let run_robustness ?(duration = 1.0) ?(schemes = []) ?(seed = 42) ?out () =
    stays bounded.
 
    Unlike [run_robustness], this is a {e single-domain} deterministic
-   replay — a scripted churn loop with no Domain.spawn, no wall clock,
+   replay — a scripted churn loop with no worker domains, no wall clock,
    and no randomness — so the controller's decision log is a pure
    function of the iteration count and replays bit-identically
    (test/test_adapt.ml runs it twice and pins the log). *)
@@ -574,6 +586,19 @@ let run_adaptivity ?(iters = 2000) ?(bound = 512) ?out () =
 (* Extension table: Treiber stack push/pop across every scheme — not a
    paper figure, but the smallest end-to-end consumer of the framework
    (includes the "None" leak-everything upper bound). *)
+(* The push/pop pair kernel shared by ext-stack and obs-overhead. *)
+let stack_pairs (type s) (module St : Instances.STACK with type t = s) (s : s) pid =
+  let c = St.ctx s pid in
+  fun w ->
+    while Run.running w do
+      for i = 1 to 32 do
+        St.push c i;
+        ignore (St.pop c)
+      done;
+      Run.count w 64
+    done;
+    St.flush c
+
 let run_ext_stack ?(threads = [ 1; 2; 4 ]) ?(duration = 0.3) () =
   Format.printf
     "@.== Extension: Treiber stack, P threads push/pop pairs ==@.expected: None (no \
@@ -584,34 +609,12 @@ let run_ext_stack ?(threads = [ 1; 2; 4 ]) ?(duration = 0.3) () =
       List.iter
         (fun (module St : Instances.STACK) ->
           let s = St.create ~max_threads:p () in
-          let stop = Atomic.make false in
-          let ops = Array.make p 0 in
-          let worker pid () =
-            let c = St.ctx s pid in
-            let n = ref 0 in
-            while not (Atomic.get stop) do
-              for i = 1 to 32 do
-                St.push c i;
-                ignore (St.pop c)
-              done;
-              n := !n + 64
-            done;
-            St.flush c;
-            ops.(pid) <- !n
-          in
-          let t0 = Unix.gettimeofday () in
-          let ds = List.init p (fun pid -> Domain.spawn (worker pid)) in
-          Unix.sleepf duration;
-          Atomic.set stop true;
-          List.iter Domain.join ds;
-          let dt = Unix.gettimeofday () -. t0 in
-          let total = Array.fold_left ( + ) 0 ops in
-          let peak_live = St.live_objects s in
+          let o = Run.run ~label:St.name ~threads:p ~duration (stack_pairs (module St) s) in
+          let residual = St.live_objects s in
           St.teardown s;
-          Format.printf "%-10s P=%-3d %8.3f Mops/s  residual=%-9d leak-after=%d@." St.name
-            p
-            (Repro_util.Stats.throughput_mops ~ops:total ~seconds:dt)
-            peak_live (St.live_objects s))
+          Format.printf "%-10s P=%-3d %8.3f Mops/s  residual=%-9d leak-after=%d%s@." St.name p
+            (Run.mops o) residual (St.live_objects s)
+            (Run.failure_suffix ~uaf:o.uaf ~failures:o.failures))
         Instances.stacks;
       Format.printf "@.")
     threads
@@ -624,7 +627,7 @@ let ensure_results_dir () =
 (* Run [f] with stdout silenced — used by [stats --json] so the
    process's only stdout is the JSON object itself. Redirection happens
    at the fd level because OCaml 5's [Format.std_formatter] swaps in a
-   shared buffered backend at the first [Domain.spawn], which would
+   shared buffered backend at the first domain spawn, which would
    bypass silenced formatter out-functions. *)
 let with_quiet_stdout f =
   Format.pp_print_flush Format.std_formatter ();
@@ -692,10 +695,7 @@ let run_stats ?(threads = [ 2 ]) ?(duration = 0.3) ?(schemes = []) ?(scale = 1)
         (* One mixed campaign with the breaker on; a deliberately tight
            deadline makes sure the retry/shed paths actually fire so the
            requirements below are discriminating. *)
-        let cschemes =
-          if schemes = [] then Chaos_runner.base_schemes
-          else Chaos_runner.find_schemes schemes
-        in
+        let cschemes = Chaos_runner.select_schemes schemes in
         let spec =
           { Chaos_runner.default_spec with Chaos_runner.ch_deadline = 12 }
         in
@@ -771,29 +771,11 @@ let run_obs_overhead ?(threads = 2) ?(duration = 0.4) ?(repeats = 3) () =
   let module St = Instances.St_ebr in
   let measure () =
     let s = St.create ~max_threads:threads () in
-    let stop = Atomic.make false in
-    let ops = Array.make threads 0 in
-    let worker pid () =
-      let c = St.ctx s pid in
-      let n = ref 0 in
-      while not (Atomic.get stop) do
-        for i = 1 to 32 do
-          St.push c i;
-          ignore (St.pop c)
-        done;
-        n := !n + 64
-      done;
-      St.flush c;
-      ops.(pid) <- !n
-    in
-    let t0 = Unix.gettimeofday () in
-    let ds = List.init threads (fun pid -> Domain.spawn (worker pid)) in
-    Unix.sleepf duration;
-    Atomic.set stop true;
-    List.iter Domain.join ds;
-    let dt = Unix.gettimeofday () -. t0 in
+    let o = Run.run ~label:St.name ~threads ~duration (stack_pairs (module St) s) in
     St.teardown s;
-    Repro_util.Stats.throughput_mops ~ops:(Array.fold_left ( + ) 0 ops) ~seconds:dt
+    if o.uaf + o.failures > 0 then
+      Format.printf "obs-overhead run:%s@." (Run.failure_suffix ~uaf:o.uaf ~failures:o.failures);
+    Run.mops o
   in
   let median xs =
     let a = Array.of_list xs in

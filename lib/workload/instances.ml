@@ -204,15 +204,30 @@ let normalize_name s =
   String.lowercase_ascii
     (String.concat "" (String.split_on_char '-' (String.concat "" (String.split_on_char '_' s))))
 
-let find_set structure name =
-  List.find_opt
-    (fun (module D : Ds.Set_intf.S) -> normalize_name D.name = normalize_name name)
-    (all_sets structure)
+exception Unknown_scheme of string
 
-let find_queue name =
-  List.find_opt
-    (fun (module Q : Ds.Queue_intf.S) -> normalize_name Q.name = normalize_name name)
-    queues
+(* The one lookup behind every [--schemes] flag. An empty request
+   selects all of [available]; otherwise each name picks, in request
+   order, the entry that [names_of] says answers to it, and a name
+   that matches nothing raises [Unknown_scheme]. *)
+let select names_of available = function
+  | [] -> available
+  | names ->
+      List.map
+        (fun n ->
+          let matches k = normalize_name k = normalize_name n in
+          match List.find_opt (fun x -> List.exists matches (names_of x)) available with
+          | Some x -> x
+          | None -> raise (Unknown_scheme n))
+        names
+
+let select_sets structure names =
+  select (fun (module D : Ds.Set_intf.S) -> [ D.name ]) (all_sets structure) names
+
+let find_set structure name =
+  try Some (List.hd (select_sets structure [ name ])) with Unknown_scheme _ -> None
+
+let select_queues names = select (fun (module Q : Ds.Queue_intf.S) -> [ Q.name ]) queues names
 
 (* ---------------------------------------------------------------- *)
 (* Sharded KV service (DESIGN.md §12): automatic schemes only — the
@@ -240,9 +255,7 @@ let kv_services : (string * (module Kv_intf.S)) list =
     ("None", (module Kv_none));
   ]
 
-let find_kv name =
-  List.find_opt
-    (fun (n, _) ->
-      normalize_name n = normalize_name name
-      || normalize_name ("RC" ^ n) = normalize_name name)
-    kv_services
+(* KV services answer to their RC name too ("RCEBR" selects "EBR"). *)
+let select_kv names = select (fun (n, _) -> [ n; "RC" ^ n ]) kv_services names
+
+let find_kv name = try Some (List.hd (select_kv [ name ])) with Unknown_scheme _ -> None

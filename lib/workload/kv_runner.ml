@@ -32,10 +32,6 @@ let mix_of_string s =
   | "scan" | "scan-churn" -> Ok Scan_churn
   | s -> Error (Printf.sprintf "unknown mix %S (read95 | write50 | scan)" s)
 
-(* Perf-cell structure label: the mix is part of the key so the BENCH
-   trajectory tracks each serving regime separately. *)
-let mix_structure m = "kv-" ^ mix_to_string m
-
 type spec = {
   threads : int;
   duration : float;
@@ -89,7 +85,8 @@ type result = {
   r_peak_backlog : int; (* service-wide *)
   r_shard_peak_backlog : int array;
   r_leaked : int;
-  r_failures : int; (* worker deaths only — never request outcomes *)
+  r_uaf : int; (* workers killed by a use-after-free or double free *)
+  r_failures : int; (* other worker deaths — never request outcomes *)
   r_timed_out : int; (* requests past the deadline after all retries *)
   r_retried_ok : int; (* requests rescued by a retry *)
   r_retries : int; (* retry attempts issued *)
@@ -116,7 +113,7 @@ let pp_result ppf r =
          r.r_retried_ok r.r_shed r.r_trips
      else "")
     (if r.r_leaked > 0 then Printf.sprintf "  LEAK=%d" r.r_leaked else "")
-    (if r.r_failures > 0 then Printf.sprintf "  FAILED-WORKERS=%d" r.r_failures else "")
+    (Run.failure_suffix ~uaf:r.r_uaf ~failures:r.r_failures)
     (match r.r_violations with
     | [] -> ""
     | vs -> Printf.sprintf "  INVALID=%d" (List.length vs))
@@ -172,11 +169,8 @@ let run_one ?(spec = default_spec) ?(validate = false)
   K.reset_peak t;
   let metrics_were = Obs.Metrics.enabled () in
   Obs.Metrics.set_enabled true;
-  let stop = Atomic.make false in
-  let ops = Array.make spec.threads 0 in
-  let failures = Atomic.make 0 in
   (* Request-outcome tallies, per worker (summed at the end) — kept
-     strictly apart from [failures], which counts worker deaths. *)
+     strictly apart from worker deaths, which {!Run} counts. *)
   let timed_out = Array.make spec.threads 0 in
   let retried_ok = Array.make spec.threads 0 in
   let retries_issued = Array.make spec.threads 0 in
@@ -187,7 +181,7 @@ let run_one ?(spec = default_spec) ?(validate = false)
      writes), 2 = open (shed everything). *)
   let nshards = K.shard_count t in
   let breaker_words = Array.init nshards (fun _ -> Atomic.make 0) in
-  let worker pid () =
+  let worker pid =
     let c = K.ctx t (pid + 1) in
     let kg =
       Keygen.create ~seed:(spec.seed + ((pid + 1) * 7919)) ~range:spec.keys spec.keygen
@@ -259,51 +253,45 @@ let run_one ?(spec = default_spec) ?(validate = false)
         end
       end
     in
-    (try
-       while not (Atomic.get stop) do
-         let now = K.now t in
-         for _ = 1 to 64 do
-           let key = Keygen.next kg in
-           let shard = K.shard_of_key t key in
-           let r = Repro_util.Rng.int rng 100 in
-           let get () =
-             request shard Breaker.Read (Some get_histo) (fun () ->
-                 ignore (K.get c ~now key))
-           in
-           let put () =
-             let ttl =
-               if Repro_util.Rng.int rng 100 < spec.ttl_pct then Some spec.ttl_ticks
-               else None
-             in
-             request shard Breaker.Write (Some put_histo) (fun () ->
-                 ignore (K.put c ~now ?ttl key !n))
-           in
-           let remove () =
-             request shard Breaker.Write None (fun () -> ignore (K.remove c ~now key))
-           in
-           (match spec.mix with
-           | Read95 -> if r < 95 then get () else put ()
-           | Write50 ->
-               if r < 50 then get () else if r < 90 then put () else remove ()
-           | Scan_churn ->
-               if r < 10 then
-                 request shard Breaker.Read (Some scan_histo) (fun () ->
-                     ignore (K.scan c ~now key (key + 64)))
-               else if r < 60 then get ()
-               else if r < 90 then put ()
-               else remove ());
-           incr n
-         done
-       done;
-       K.flush c
-     with e ->
-       ignore (Atomic.fetch_and_add failures 1);
-       Printf.eprintf "[kv %s] worker %d died: %s\n%!" scheme_name pid
-         (Printexc.to_string e));
-    ops.(pid) <- !n
+    fun w ->
+      while Run.running w do
+        let now = K.now t in
+        for _ = 1 to 64 do
+          let key = Keygen.next kg in
+          let shard = K.shard_of_key t key in
+          let r = Repro_util.Rng.int rng 100 in
+          let get () =
+            request shard Breaker.Read (Some get_histo) (fun () ->
+                ignore (K.get c ~now key))
+          in
+          let put () =
+            let ttl =
+              if Repro_util.Rng.int rng 100 < spec.ttl_pct then Some spec.ttl_ticks
+              else None
+            in
+            request shard Breaker.Write (Some put_histo) (fun () ->
+                ignore (K.put c ~now ?ttl key !n))
+          in
+          let remove () =
+            request shard Breaker.Write None (fun () -> ignore (K.remove c ~now key))
+          in
+          (match spec.mix with
+          | Read95 -> if r < 95 then get () else put ()
+          | Write50 ->
+              if r < 50 then get () else if r < 90 then put () else remove ()
+          | Scan_churn ->
+              if r < 10 then
+                request shard Breaker.Read (Some scan_histo) (fun () ->
+                    ignore (K.scan c ~now key (key + 64)))
+              else if r < 60 then get ()
+              else if r < 90 then put ()
+              else remove ());
+          incr n
+        done;
+        Run.count w 64
+      done;
+      K.flush c
   in
-  let t0 = Unix.gettimeofday () in
-  let domains = List.init spec.threads (fun pid -> Domain.spawn (worker pid)) in
   (* The sampler owns logical time: one tick per sample, a background
      expiry sweep (the retirement storm) every [sweep_every] ticks, and
      — with [adapt] — one controller per shard fed that shard's
@@ -334,51 +322,44 @@ let run_one ?(spec = default_spec) ?(validate = false)
       Array.init nshards (fun s -> Breaker.create ~config:cfg ~shard:s ())
     else [||]
   in
-  let deadline = t0 +. spec.duration in
-  let rec sample () =
-    let wall = Unix.gettimeofday () in
-    if wall < deadline then begin
-      let tick = K.tick t in
-      let total = ref 0 in
-      for s = 0 to nshards - 1 do
-        let b = K.shard_backlog t ~shard:s in
-        shard_peaks.(s) <- max shard_peaks.(s) b;
-        total := !total + b;
-        if spec.breaker then begin
-          let p99 =
-            match Obs.Histo.percentiles get_histo with
-            | Some (_, p99, _) when deadline_ns > 0 -> Some p99
-            | _ -> None
-          in
-          (match Breaker.on_tick breakers.(s) ~pid:0 ~backlog:b ~p99 with
-          | Some (Breaker.To_open _) -> incr trips
-          | _ -> ());
-          Atomic.set breaker_words.(s)
-            (match Breaker.state breakers.(s) with
-            | Breaker.Open _ -> 2
-            | Breaker.Closed { shed_writes = true; _ } -> 1
-            | _ -> 0)
-        end;
-        if spec.adapt then
-          ignore
-            (Adapt.Controller.observe controllers.(s)
-               {
-                 Adapt.Controller.backlog = b;
-                 p99 = Driver.reclaim_p99 ();
-                 stalled = false;
-               })
-      done;
-      peak_backlog := max !peak_backlog !total;
-      if tick mod spec.sweep_every = 0 then swept := !swept + K.expire_sweep c0 ~now:tick;
-      Unix.sleepf (min 0.002 (deadline -. wall));
-      sample ()
-    end
+  let sample ~elapsed:_ ~ops:_ =
+    let tick = K.tick t in
+    let total = ref 0 in
+    for s = 0 to nshards - 1 do
+      let b = K.shard_backlog t ~shard:s in
+      shard_peaks.(s) <- max shard_peaks.(s) b;
+      total := !total + b;
+      if spec.breaker then begin
+        let p99 =
+          match Obs.Histo.percentiles get_histo with
+          | Some (_, p99, _) when deadline_ns > 0 -> Some p99
+          | _ -> None
+        in
+        (match Breaker.on_tick breakers.(s) ~pid:0 ~backlog:b ~p99 with
+        | Some (Breaker.To_open _) -> incr trips
+        | _ -> ());
+        Atomic.set breaker_words.(s)
+          (match Breaker.state breakers.(s) with
+          | Breaker.Open _ -> 2
+          | Breaker.Closed { shed_writes = true; _ } -> 1
+          | _ -> 0)
+      end;
+      if spec.adapt then
+        ignore
+          (Adapt.Controller.observe controllers.(s)
+             {
+               Adapt.Controller.backlog = b;
+               p99 = Driver.reclaim_p99 ();
+               stalled = false;
+             })
+    done;
+    peak_backlog := max !peak_backlog !total;
+    if tick mod spec.sweep_every = 0 then swept := !swept + K.expire_sweep c0 ~now:tick
   in
-  sample ();
-  Atomic.set stop true;
-  List.iter Domain.join domains;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let total_ops = Array.fold_left ( + ) 0 ops in
+  let o =
+    Run.run ~label:("kv " ^ scheme_name) ~threads:spec.threads ~duration:spec.duration
+      ~period:0.002 ~sample worker
+  in
   let now = K.now t in
   let violations =
     if validate then begin
@@ -398,9 +379,9 @@ let run_one ?(spec = default_spec) ?(validate = false)
   {
     r_scheme = scheme_name;
     r_spec = spec;
-    r_ops = total_ops;
-    r_elapsed = elapsed;
-    r_mops = Repro_util.Stats.throughput_mops ~ops:total_ops ~seconds:elapsed;
+    r_ops = o.total_ops;
+    r_elapsed = o.elapsed;
+    r_mops = Run.mops o;
     r_hit_rate =
       (let h = counters.Kv_intf.gets_hit and m = counters.Kv_intf.gets_miss in
        if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m));
@@ -413,7 +394,8 @@ let run_one ?(spec = default_spec) ?(validate = false)
     r_peak_backlog = !peak_backlog;
     r_shard_peak_backlog = shard_peaks;
     r_leaked = leaked;
-    r_failures = Atomic.get failures;
+    r_uaf = o.uaf;
+    r_failures = o.failures;
     r_timed_out = Array.fold_left ( + ) 0 timed_out;
     r_retried_ok = Array.fold_left ( + ) 0 retried_ok;
     r_retries = Array.fold_left ( + ) 0 retries_issued;
@@ -452,7 +434,9 @@ let sweep ?(spec = default_spec) ?(schemes = Instances.kv_services)
       mixes
   in
   let ok =
-    List.for_all (fun r -> r.r_leaked = 0 && r.r_failures = 0 && r.r_violations = []) results
+    List.for_all
+      (fun r -> r.r_leaked = 0 && r.r_uaf = 0 && r.r_failures = 0 && r.r_violations = [])
+      results
   in
   (ok, results)
 

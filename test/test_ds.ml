@@ -135,6 +135,37 @@ struct
     Alcotest.(check int) "leak free" 0 (D.live_objects d);
     Alcotest.(check int) "backlog drained" 0 (D.retired_backlog d)
 
+  (* Two domains insert and remove interleaved keys (2i and 2i+1) in
+     lockstep, so removals of sibling leaves overlap and both of a
+     parent's edges end up flagged at once. The manual NM tree's chain
+     retirement used to retire the surviving sibling there as well,
+     which its own remover then retired again (a double free); at
+     2000 rounds that showed up in nearly every run, and 8 runs make a
+     miss vanishingly unlikely. *)
+  let concurrent_sibling_removes () =
+    for _ = 1 to 8 do
+      let d = D.create ~max_threads:2 () in
+      let failures = Atomic.make 0 in
+      let worker pid () =
+        let c = D.ctx d pid in
+        try
+          for r = 1 to 2_000 do
+            let key = (2 * (r mod 8)) + pid in
+            ignore (D.insert c key);
+            ignore (D.remove c key)
+          done;
+          D.flush c
+        with e ->
+          ignore (Atomic.fetch_and_add failures 1);
+          Printf.eprintf "[%s siblings %d] %s\n%!" L.label pid (Printexc.to_string e)
+      in
+      let domains = List.init 2 (fun pid -> Domain.spawn (worker pid)) in
+      List.iter Domain.join domains;
+      Alcotest.(check int) "no worker failures" 0 (Atomic.get failures);
+      D.teardown d;
+      Alcotest.(check int) "leak free" 0 (D.live_objects d)
+    done
+
   let tests =
     [
       t "sequential model" `Slow sequential_model;
@@ -142,6 +173,7 @@ struct
       t "range query" `Quick range_query_counts;
       t "concurrent disjoint" `Slow concurrent_disjoint;
       t "concurrent churn" `Slow concurrent_churn;
+      t "concurrent sibling removes" `Slow concurrent_sibling_removes;
     ]
 end
 

@@ -1,7 +1,7 @@
 (* Tests for the instrumentation and the small type-erasure modules:
    snapshot fast/slow path accounting (the Fig 11 fallback mechanism),
-   weak-snapshot fallback under slot exhaustion, identity tokens, and
-   deferred-op plumbing. *)
+   weak-snapshot fallback under slot exhaustion, identity tokens,
+   deferred-op plumbing, and the Histo percentiles. *)
 
 module Ident = Smr.Ident
 
@@ -234,6 +234,37 @@ let counter_merge_prop =
       Obs.Metrics.set_enabled false;
       Obs.Metrics.total ctr = a + b + c + d)
 
+(* ---------------- Histo quantiles ---------------- *)
+
+(* Histo's bucketed percentiles against the exact nearest-rank
+   percentile of the raw values: the bucket of the exact answer. The
+   samples land in several per-domain shards, so this also covers the
+   merge that [Driver.reclaim_p99] and the KV latency columns rely on. *)
+let test_quantiles_match_histo () =
+  Obs.Report.reset_all ();
+  Obs.Metrics.set_enabled true;
+  let h = Obs.Histo.histo "test.quantiles" in
+  let rng = Repro_util.Rng.create ~seed:11 in
+  let raw =
+    Array.init 5000 (fun i ->
+        let v = Repro_util.Rng.int rng 100_000 in
+        Obs.Histo.observe h ~pid:(i mod 4) v;
+        float_of_int v)
+  in
+  let exact p =
+    Obs.Histo.bucket_upper (Obs.Histo.bucket_of (int_of_float (Repro_util.Stats.percentile raw p)))
+  in
+  Alcotest.(check int) "count" 5000 (Obs.Histo.count h);
+  (match Obs.Histo.percentiles h with
+  | Some (p50, p99, p999) ->
+      Alcotest.(check int) "p50" (exact 50.0) p50;
+      Alcotest.(check int) "p99" (exact 99.0) p99;
+      Alcotest.(check int) "p999" (exact 99.9) p999
+  | None -> Alcotest.fail "histo empty");
+  Obs.Metrics.set_enabled false;
+  Obs.Report.reset_all ();
+  Alcotest.(check bool) "empty after reset" true (Obs.Histo.percentiles h = None)
+
 let () =
   Alcotest.run "instrumentation"
     [
@@ -258,4 +289,5 @@ let () =
             test_accounting_identity;
           QCheck_alcotest.to_alcotest counter_merge_prop;
         ] );
+      ("quantiles", [ Alcotest.test_case "agree with Histo" `Quick test_quantiles_match_histo ]);
     ]

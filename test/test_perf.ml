@@ -1,210 +1,9 @@
-(* Perf-trajectory summaries (DESIGN.md §11): JSON round-trips, quantile
-   agreement with Histo, the regression-gate semantics behind
-   tools/bench_check, and the pinned atomic-op footprints of the
-   lock-free cores under the counting shim. The footprint expectations
-   are protocol invariants — if one moves, an algorithm's atomic cost
+(* The pinned atomic-op footprints of the lock-free cores under the
+   counting shim (DESIGN.md §11). The footprint expectations are
+   protocol invariants — if one moves, an algorithm's atomic cost
    changed and the new number must be justified, not just re-pinned. *)
 
 module P = Obs.Perf
-
-let q ?(count = 10) p50 p99 p999 =
-  { P.q_count = count; q_p50 = p50; q_p99 = p99; q_p999 = p999 }
-
-let cell ?(scheme = "EBR") ?(structure = "hash") ?(threads = 2) ?(mops = 10.0)
-    ?(reclaim = q 63 127 255) () =
-  {
-    P.c_scheme = scheme;
-    c_structure = structure;
-    c_threads = threads;
-    c_ops = int_of_float (mops *. 1e6);
-    c_mops = mops;
-    c_reclaim = reclaim;
-    c_eject_batch = q 7 15 15;
-    c_peak_live = 1000;
-    c_peak_backlog = 200;
-    c_leaked = 0;
-  }
-
-let profile ?(core = "sticky") ?(op = "inc_dec") () =
-  {
-    P.a_core = core;
-    a_op = op;
-    a_ops = 1000;
-    a_gets = 0;
-    a_sets = 0;
-    a_exchanges = 0;
-    a_cas = 0;
-    a_cas_failures = 0;
-    a_faa = 2000;
-  }
-
-let summary ?(cells = [ cell () ]) ?(atomics = [ profile () ]) () =
-  {
-    P.s_meta =
-      {
-        P.m_label = "test";
-        m_git_sha = "deadbeef";
-        m_host_domains = 4;
-        m_duration = 0.25;
-        m_threads = [ 1; 2 ];
-        m_scale = 4096;
-      };
-    s_cells = cells;
-    s_atomics = atomics;
-  }
-
-(* ---------------- JSON ---------------- *)
-
-let test_round_trip () =
-  let s =
-    summary
-      ~cells:
-        [
-          cell ();
-          cell ~scheme:{|RC"EBR\odd|} ~structure:"stack" ~threads:1 ~mops:0.000123 ();
-        ]
-      ()
-  in
-  let j = P.to_string s in
-  match P.summary_of_string j with
-  | Error e -> Alcotest.failf "reparse failed: %s" e
-  | Ok s' ->
-      Alcotest.(check string) "bit-identical re-encode" j (P.to_string s');
-      Alcotest.(check int) "cells" 2 (List.length s'.P.s_cells);
-      Alcotest.(check string) "escaped scheme survives" {|RC"EBR\odd|}
-        (List.nth s'.P.s_cells 1).P.c_scheme
-
-let test_parse_rejects_garbage () =
-  List.iter
-    (fun j ->
-      match P.summary_of_string j with
-      | Ok _ -> Alcotest.failf "accepted %S" j
-      | Error _ -> ())
-    [ ""; "{"; "[1,2]"; {|{"schema_version":"x"}|}; {|{"meta":{}}|}; "nullx" ]
-
-let test_load_file_missing () =
-  match P.load_file "/nonexistent/bench.json" with
-  | Ok _ -> Alcotest.fail "loaded a missing file"
-  | Error _ -> ()
-
-(* ---------------- quantiles ---------------- *)
-
-let test_quantiles_match_histo () =
-  Obs.Report.reset_all ();
-  Obs.Metrics.set_enabled true;
-  let h = Obs.Histo.histo "test.perf_quantiles" in
-  let rng = Repro_util.Rng.create ~seed:11 in
-  for _ = 1 to 5000 do
-    Obs.Histo.observe h ~pid:0 (Repro_util.Rng.int rng 100_000)
-  done;
-  let counts = Obs.Histo.merged h in
-  let qq = P.quantiles_of_counts counts in
-  let expect p =
-    match Obs.Histo.percentile_of_counts counts p with
-    | Some v -> v
-    | None -> Alcotest.fail "histo empty"
-  in
-  Alcotest.(check int) "count" 5000 qq.P.q_count;
-  Alcotest.(check int) "p50" (expect 50.0) qq.P.q_p50;
-  Alcotest.(check int) "p99" (expect 99.0) qq.P.q_p99;
-  Alcotest.(check int) "p999" (expect 99.9) qq.P.q_p999;
-  Obs.Metrics.set_enabled false;
-  Obs.Report.reset_all ();
-  let empty = P.quantiles_of_counts (Array.make Obs.Histo.buckets 0) in
-  Alcotest.(check int) "empty count" 0 empty.P.q_count
-
-(* ---------------- validate ---------------- *)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let test_validate () =
-  (match P.validate (summary ()) with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "valid summary rejected: %s" e);
-  (match P.validate (summary ~cells:[] ()) with
-  | Ok () -> Alcotest.fail "empty matrix accepted"
-  | Error _ -> ());
-  (match P.validate (summary ~cells:[ cell (); cell () ] ()) with
-  | Ok () -> Alcotest.fail "duplicate cell key accepted"
-  | Error _ -> ());
-  (match P.validate (summary ~atomics:[] ()) with
-  | Ok () -> Alcotest.fail "missing atomic profiles accepted"
-  | Error _ -> ());
-  match P.validate ~require_schemes:[ "EBR"; "PTB" ] (summary ()) with
-  | Ok () -> Alcotest.fail "missing required scheme accepted"
-  | Error e -> Alcotest.(check bool) "names the scheme" true (contains e "PTB")
-
-(* ---------------- regression gate ---------------- *)
-
-let compare ?throughput_tol ?latency_tol ?allow base cand =
-  P.compare_summaries ?throughput_tol ?latency_tol ?allow base cand
-
-let test_gate_throughput_regression () =
-  let base = summary () in
-  let worse = summary ~cells:[ cell ~mops:8.0 () ] () in
-  let regs, compared = compare base worse in
-  Alcotest.(check int) "one cell compared" 1 compared;
-  Alcotest.(check bool) "fails" true (P.failed regs);
-  (match regs with
-  | [ r ] ->
-      Alcotest.(check string) "metric" "throughput" r.P.r_metric;
-      Alcotest.(check string) "key" "EBR/hash/2" r.P.r_key
-  | _ -> Alcotest.failf "expected 1 regression, got %d" (List.length regs));
-  (* 20% drop passes a 30% gate *)
-  let regs, _ = compare ~throughput_tol:30.0 base worse in
-  Alcotest.(check bool) "within widened tolerance" false (P.failed regs)
-
-let test_gate_improvement_ok () =
-  let base = summary () in
-  let better =
-    summary ~cells:[ cell ~mops:14.0 ~reclaim:(q 31 63 127) () ] ()
-  in
-  let regs, compared = compare base better in
-  Alcotest.(check int) "compared" 1 compared;
-  Alcotest.(check (list string)) "no regressions" []
-    (List.map (fun r -> r.P.r_key) regs)
-
-let test_gate_latency_regression () =
-  let base = summary () in
-  let slower = summary ~cells:[ cell ~reclaim:(q 63 255 511) () ] () in
-  let regs, _ = compare base slower in
-  Alcotest.(check bool) "fails" true (P.failed regs);
-  (match regs with
-  | [ r ] -> Alcotest.(check string) "metric" "reclaim_p99" r.P.r_metric
-  | _ -> Alcotest.fail "expected exactly the latency regression");
-  (* p99s below the 8-tick noise floor never flag: 1 -> 4 is +300% but
-     both are bucket-resolution noise. *)
-  let tiny_base = summary ~cells:[ cell ~reclaim:(q 1 1 1) () ] () in
-  let tiny_cand = summary ~cells:[ cell ~reclaim:(q 1 4 4) () ] () in
-  let regs, _ = compare tiny_base tiny_cand in
-  Alcotest.(check bool) "noise floor" false (P.failed regs)
-
-let test_gate_allowlist () =
-  let base = summary () in
-  let worse = summary ~cells:[ cell ~mops:8.0 () ] () in
-  let check_allowed allow =
-    let regs, _ = compare ~allow base worse in
-    Alcotest.(check int) "still reported" 1 (List.length regs);
-    Alcotest.(check bool) "but allowed" false (P.failed regs)
-  in
-  check_allowed [ "EBR/hash/2" ];
-  check_allowed [ "EBR" ];
-  check_allowed [ "EBR/hash" ];
-  let regs, _ = compare ~allow:[ "RCEBR" ] base worse in
-  Alcotest.(check bool) "prefix must match a '/' boundary" true (P.failed regs)
-
-let test_gate_intersection_only () =
-  let base = summary () in
-  let cand =
-    summary ~cells:[ cell ~scheme:"IBR" (); cell ~scheme:"HP" ~mops:1.0 () ] ()
-  in
-  (* No common key: nothing compared, nothing flagged. *)
-  let regs, compared = compare base cand in
-  Alcotest.(check int) "no common cells" 0 compared;
-  Alcotest.(check bool) "no verdict" false (P.failed regs)
 
 (* ---------------- counting shim ---------------- *)
 
@@ -275,23 +74,6 @@ let test_pinned_atomic_footprints () =
 let () =
   Alcotest.run "perf"
     [
-      ( "json",
-        [
-          Alcotest.test_case "round trip" `Quick test_round_trip;
-          Alcotest.test_case "rejects garbage" `Quick test_parse_rejects_garbage;
-          Alcotest.test_case "missing file" `Quick test_load_file_missing;
-        ] );
-      ( "quantiles",
-        [ Alcotest.test_case "agree with Histo" `Quick test_quantiles_match_histo ] );
-      ("validate", [ Alcotest.test_case "schema sanity" `Quick test_validate ]);
-      ( "gate",
-        [
-          Alcotest.test_case "throughput regression" `Quick test_gate_throughput_regression;
-          Alcotest.test_case "improvement passes" `Quick test_gate_improvement_ok;
-          Alcotest.test_case "latency regression" `Quick test_gate_latency_regression;
-          Alcotest.test_case "allowlist" `Quick test_gate_allowlist;
-          Alcotest.test_case "intersection only" `Quick test_gate_intersection_only;
-        ] );
       ( "atomics",
         [
           Alcotest.test_case "counting shim" `Quick test_counting_shim;

@@ -155,7 +155,7 @@ let chaos_spec =
 
 let chaos_replays_bit_identically () =
   let scheme =
-    match Workload.Chaos_runner.find_schemes [ "EBR" ] with
+    match Workload.Chaos_runner.select_schemes [ "EBR" ] with
     | [ s ] -> s
     | _ -> Alcotest.fail "EBR scheme not found"
   in
@@ -171,7 +171,7 @@ let chaos_replays_bit_identically () =
 
 let chaos_seed_changes_schedule () =
   let scheme =
-    match Workload.Chaos_runner.find_schemes [ "EBR" ] with
+    match Workload.Chaos_runner.select_schemes [ "EBR" ] with
     | [ s ] -> s
     | _ -> Alcotest.fail "EBR scheme not found"
   in

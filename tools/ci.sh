@@ -11,6 +11,20 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
+echo "== structure guard (one run engine, no swallowed exceptions) =="
+# Every timed multi-domain loop runs on lib/workload/run.ml, and the
+# harnesses report worker exceptions instead of discarding them.
+spawns=$(grep -rn "Domain.spawn" lib bin --include='*.ml' | grep -v "^lib/workload/run.ml:" || true)
+if [ -n "$spawns" ]; then
+  echo "$spawns" >&2
+  echo "error: Domain.spawn outside lib/workload/run.ml" >&2
+  exit 1
+fi
+if grep -rn "with _ -> ()" lib/workload; then
+  echo "error: lib/workload swallows an exception" >&2
+  exit 1
+fi
+
 echo "== rc-lint (clean tree) =="
 # Static protocol checks (DESIGN.md §9): the shipped tree must carry
 # zero unsuppressed findings.
@@ -128,49 +142,15 @@ echo "== telemetry smoke (chaos) =="
 # and nonzero, and the exported trace must parse.
 dune exec bin/cdrc_bench.exe -- stats chaos --schemes EBR,HP --check
 
-echo "== perf trajectory gate (committed points) =="
-# Compare the two most recent committed BENCH_PR<N>.json trajectory
-# points directly. This comparison is deterministic (two fixed files),
-# so it runs at the strict default tolerances with a documented
-# allowlist instead of the wide machine-noise tolerances below:
-#   - reclaim_p99 cells: the latency histogram is log2-bucketed, so a
-#     one-bucket wobble between sessions reads as +100%;
-#   - stack/queue/hash throughput cells at PR8: cross-session jitter
-#     on the shared 1-core CI host (the structures' code is unchanged
-#     in PR8; the kv-* cells are the new coverage and are gated via
-#     the baseline-vs-smoke stage below once both sides carry them).
-# Additions here must name the offending cell and the reason.
-prev_points=$(ls BENCH_PR*.json 2>/dev/null | sort | tail -2)
-if [ "$(echo "$prev_points" | wc -l)" -eq 2 ]; then
-  # shellcheck disable=SC2086
-  tools/bench_check $prev_points \
-    --allow 'None/stack,RCEBR/stack/1,IBR/stack/4,Hyaline/stack/4' \
-    --allow 'RCHP-weak/queue/4,RCHyaline-weak/queue/4,locked-weak/queue/4' \
-    --allow 'HE/hash/4,RCHyaline/hash/4,RCHE/hash/4'
-fi
-
-echo "== perf smoke (pinned matrix, P=1, short) =="
-# Emit a schema-valid perf summary (DESIGN.md §11) and gate it against
-# the committed baseline. The self-compare is the deterministic exit-0
-# check; the baseline compare runs with tolerances wide enough for a
-# 1-core CI host (absolute throughput is machine-specific — the strict
-# 15/25 defaults are for trajectory points taken on one machine), so
-# what it really asserts is that the cell matrix, schema and comparator
-# still agree end-to-end.
-dune exec bin/cdrc_bench.exe -- perf --threads 1 --duration 0.05 --keys 512 \
-  --label ci-smoke --out results/BENCH_smoke.json --validate
-tools/bench_check results/BENCH_smoke.json results/BENCH_smoke.json
-baseline=$(ls BENCH_PR*.json 2>/dev/null | sort | tail -1 || true)
-if [ -n "$baseline" ]; then
-  tools/bench_check --throughput-tol 99 --latency-tol 100000 \
-    "$baseline" results/BENCH_smoke.json
-fi
-rm -f results/BENCH_smoke.json
+echo "== perfbench correctness smoke (stack-pinned, tree-read90) =="
+# The repo benchmark end to end at a short window: each run exits 1 on
+# a leak, an oracle mismatch or a worker exception in any config.
+python3 perfbench/run.py --workload stack-pinned --seed 1 --seconds 2
+python3 perfbench/run.py --workload tree-read90 --seed 1 --seconds 2
 
 echo "== no committed result artifacts =="
 # Raw run output (traces, sweep logs, smoke summaries) is regenerable
-# and must not be versioned; the only committed perf artifacts are the
-# repo-root BENCH_PR<N>.json trajectory points.
+# and must not be versioned.
 if git ls-files 'results/*.jsonl' 'results/*.txt' 'results/*.json' | grep -q .; then
   echo "error: results/ holds generated artifacts and must not be committed" >&2
   exit 1
