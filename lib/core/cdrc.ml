@@ -9,10 +9,12 @@
     - {e strong}: [shared] / [atomic shared (Asp)] / [snapshot]
     - {e weak}: [weak] / [atomic weak (Awp)] / [weak_snapshot]
 
-    The conversion instantiates up to three acquire–retire instances of
-    [S] — for deferred strong decrements, deferred weak decrements, and
-    deferred disposals (Fig 8) — so that reads can protect a reference
-    count (or a disposal) instead of incrementing it.
+    The conversion is built on three [Acquire_retire.Make (S)]
+    instances sharing one heap — for deferred strong decrements,
+    deferred weak decrements, and deferred disposals (Fig 8) — so that
+    reads can protect a reference count (or a disposal) instead of
+    incrementing it. Every announce/confirm and eject goes through
+    them.
 
     OCaml-specific API shape (DESIGN.md S5/S6): pointers are linear
     values with explicit [drop] instead of destructors; atomic pointer
@@ -22,7 +24,7 @@
     exactly as §3.4 requires for region schemes. *)
 
 module Make (S : Smr.Smr_intf.S) = struct
-  module Smr_impl = S
+  module Ar = Acquire_retire.Make (S)
 
   (* The control-block lifecycle core (counters + value cell) comes
      from the schedule-explorable functor, instantiated on the
@@ -62,9 +64,9 @@ module Make (S : Smr.Smr_intf.S) = struct
   }
 
   type rt = {
-    strong_ar : S.t;
-    weak_ar : S.t;
-    dispose_ar : S.t;
+    strong : Ar.t;
+    weak : Ar.t; (* idle unless [support_weak] *)
+    dispose : Ar.t; (* idle unless [support_weak] *)
     support_weak : bool;
     heap : Simheap.t;
     pending : Smr.Deferred.t Queue.t array; (* per-pid, owner-thread only *)
@@ -74,7 +76,7 @@ module Make (S : Smr.Smr_intf.S) = struct
        paths, per thread — the mechanism behind the paper's Fig 11. *)
     snap_fast : int Repro_util.Padded.t;
     snap_slow : int Repro_util.Padded.t;
-    wd : Obs.Watchdog.t; (* reclamation-progress watchdog over strong_ar *)
+    wd : Obs.Watchdog.t; (* progress watchdog: strong frontier, whole backlog *)
   }
 
   type thr = { rt : rt; pid : int }
@@ -84,11 +86,11 @@ module Make (S : Smr.Smr_intf.S) = struct
     let heap =
       match heap with Some h -> h | None -> Simheap.create ~name:("rc-" ^ S.name) ()
     in
-    let mk () = S.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~max_threads () in
+    let mk () = Ar.create ?epoch_freq ?cleanup_freq ?slots_per_thread ~heap ~max_threads () in
     {
-      strong_ar = mk ();
-      weak_ar = mk ();
-      dispose_ar = mk ();
+      strong = mk ();
+      weak = mk ();
+      dispose = mk ();
       support_weak;
       heap;
       pending = Array.init max_threads (fun _ -> Queue.create ());
@@ -105,6 +107,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let heap rt = rt.heap
   let max_threads rt = rt.nthreads
+  let ars rt = [ ("strong", rt.strong); ("weak", rt.weak); ("dispose", rt.dispose) ]
 
   (* ------------------------------------------------------------------ *)
   (* Pending-operation queue: deferred operations (and the cascades they
@@ -163,23 +166,23 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   and weak_decrement rt ~pid:_ cb = if Cell.weak_decrement cb.cell then free_cb rt cb
 
+  (* Retire into [ar], then eject at once: the released operations join
+     the pending queue rather than running here. *)
+  and defer rt ar ~pid cb ~birth op =
+    Ar.retire_ident ar ~pid (Ident.of_val cb) ~birth op;
+    enqueue_all rt ~pid (Ar.eject ar ~pid)
+
   and delayed_decrement rt ~pid cb =
     Obs.Metrics.incr dec_deferred_c ~pid;
-    S.retire rt.strong_ar ~pid (Ident.of_val cb) ~birth:cb.birth_strong (fun epid ->
-        decrement rt ~pid:epid cb);
-    enqueue_all rt ~pid (S.eject rt.strong_ar ~pid)
+    defer rt rt.strong ~pid cb ~birth:cb.birth_strong (fun epid -> decrement rt ~pid:epid cb)
 
   and delayed_weak_decrement rt ~pid cb =
     Obs.Metrics.incr weak_dec_deferred_c ~pid;
-    S.retire rt.weak_ar ~pid (Ident.of_val cb) ~birth:cb.birth_weak (fun epid ->
-        weak_decrement rt ~pid:epid cb);
-    enqueue_all rt ~pid (S.eject rt.weak_ar ~pid)
+    defer rt rt.weak ~pid cb ~birth:cb.birth_weak (fun epid -> weak_decrement rt ~pid:epid cb)
 
   and delayed_dispose rt ~pid cb =
     Obs.Metrics.incr dispose_deferred_c ~pid;
-    S.retire rt.dispose_ar ~pid (Ident.of_val cb) ~birth:cb.birth_dispose (fun epid ->
-        dispose rt ~pid:epid cb);
-    enqueue_all rt ~pid (S.eject rt.dispose_ar ~pid)
+    defer rt rt.dispose ~pid cb ~birth:cb.birth_dispose (fun epid -> dispose rt ~pid:epid cb)
 
   (* ------------------------------------------------------------------ *)
   (* Slots: the value stored in atomic shared/weak pointer cells.
@@ -252,46 +255,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     let strong_count p = match cb_of p with None -> 0 | Some cb -> Cell.strong_count cb.cell
   end
 
-  (* ------------------------------------------------------------------ *)
-  (* The announce/confirm protocol against a slot-holding atomic cell *)
-
-  let settle_guard ar ~pid g id =
-    while not (S.confirm ar ~pid g id) do
-      ()
-    done
-
-  (* When confirm is constantly true (EBR/Hyaline), the first load is
-     already protected by the ambient critical section: single-load
-     fast path, the reason region schemes are cheap (paper §2). *)
-  let protect_load ar ~pid (loc : 'a slot Atomic.t) : 'a slot * S.guard =
-    if S.confirm_is_trivial then (Atomic.get loc, S.acquire ar ~pid Ident.null)
-    else begin
-      let v0 = Atomic.get loc in
-      let g = S.acquire ar ~pid (slot_ident v0) in
-      let rec settle () =
-        let v = Atomic.get loc in
-        if S.confirm ar ~pid g (slot_ident v) then (v, g) else settle ()
-      in
-      settle ()
-    end
-
-  let try_protect_load ar ~pid (loc : 'a slot Atomic.t) : ('a slot * S.guard) option =
-    if S.confirm_is_trivial then
-      match S.try_acquire ar ~pid Ident.null with
-      | Some g -> Some (Atomic.get loc, g)
-      | None -> None
-    else begin
-      let v0 = Atomic.get loc in
-      match S.try_acquire ar ~pid (slot_ident v0) with
-      | None -> None
-      | Some g ->
-          let rec settle () =
-            let v = Atomic.get loc in
-            if S.confirm ar ~pid g (slot_ident v) then Some (v, g) else settle ()
-          in
-          settle ()
-    end
-
   (* Logical CAS over a slot cell: succeed iff the current slot equals
      [expected] (cb identity + mark). Physical CAS failure against a
      logically-equal but re-boxed slot retries (DESIGN.md S5). *)
@@ -305,17 +268,17 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Critical sections (§3.4) *)
 
   let begin_critical_section (t : thr) =
-    S.begin_critical_section t.rt.strong_ar ~pid:t.pid;
+    Ar.begin_critical_section t.rt.strong ~pid:t.pid;
     if t.rt.support_weak then begin
-      S.begin_critical_section t.rt.weak_ar ~pid:t.pid;
-      S.begin_critical_section t.rt.dispose_ar ~pid:t.pid
+      Ar.begin_critical_section t.rt.weak ~pid:t.pid;
+      Ar.begin_critical_section t.rt.dispose ~pid:t.pid
     end
 
   let end_critical_section (t : thr) =
-    S.end_critical_section t.rt.strong_ar ~pid:t.pid;
+    Ar.end_critical_section t.rt.strong ~pid:t.pid;
     if t.rt.support_weak then begin
-      S.end_critical_section t.rt.weak_ar ~pid:t.pid;
-      S.end_critical_section t.rt.dispose_ar ~pid:t.pid
+      Ar.end_critical_section t.rt.weak ~pid:t.pid;
+      Ar.end_critical_section t.rt.dispose ~pid:t.pid
     end
 
   let critically (t : thr) f =
@@ -329,7 +292,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type 'a snapshot = {
     n_cb : 'a control_block option;
-    n_guard : S.guard option; (* Some = fast path; None = counted *)
+    n_guard : Ar.guard option; (* Some = fast path; None = counted *)
     n_tag : int;
     mutable n_live : bool;
   }
@@ -338,7 +301,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type 'a weak_snapshot = {
     ws_cb : 'a control_block option;
-    ws_guard : S.guard option; (* Some = dispose guard; None = counted *)
+    ws_guard : Ar.guard option; (* Some = dispose guard; None = counted *)
     ws_tag : int;
     mutable ws_live : bool;
   }
@@ -365,10 +328,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       let cb =
         {
           cell = Cell.make v;
-          birth_strong = S.alloc_hook rt.strong_ar ~pid:t.pid;
-          birth_weak = (if rt.support_weak then S.alloc_hook rt.weak_ar ~pid:t.pid else 0);
-          birth_dispose =
-            (if rt.support_weak then S.alloc_hook rt.dispose_ar ~pid:t.pid else 0);
+          birth_strong = Ar.birth_tag rt.strong ~pid:t.pid;
+          birth_weak = (if rt.support_weak then Ar.birth_tag rt.weak ~pid:t.pid else 0);
+          birth_dispose = (if rt.support_weak then Ar.birth_tag rt.dispose ~pid:t.pid else 0);
           block = Simheap.alloc rt.heap;
           destroy;
         }
@@ -474,7 +436,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.n_live "snapshot";
       p.n_live <- false;
       (match (p.n_guard, p.n_cb) with
-      | Some g, _ -> S.release t.rt.strong_ar ~pid:t.pid g
+      | Some g, _ -> Ar.release t.rt.strong ~pid:t.pid g
       | None, Some cb -> decrement t.rt ~pid:t.pid cb
       | None, None -> ());
       drain t.rt ~pid:t.pid
@@ -513,7 +475,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (* Fig 8 load_and_increment *)
     let load (t : thr) (c : 'a t) : 'a shared =
-      let v, g = protect_load t.rt.strong_ar ~pid:t.pid c.asp in
+      let v, g = Ar.protect t.rt.strong ~pid:t.pid ~ident:slot_ident c.asp in
       let res =
         match cb_of v with
         | None -> Shared.null ()
@@ -521,7 +483,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             must_increment cb;
             { s_cb = Some cb; s_live = true }
       in
-      S.release t.rt.strong_ar ~pid:t.pid g;
+      Ar.release t.rt.strong ~pid:t.pid g;
       res
 
     let store (t : thr) (c : 'a t) (desired : 'a ptr) =
@@ -567,26 +529,26 @@ module Make (S : Smr.Smr_intf.S) = struct
 
     (* Fig 5 get_snapshot *)
     let get_snapshot (t : thr) (c : 'a t) : 'a snapshot =
-      match try_protect_load t.rt.strong_ar ~pid:t.pid c.asp with
+      match Ar.try_protect t.rt.strong ~pid:t.pid ~ident:slot_ident c.asp with
       | Some (v, g) -> (
           bump t.rt.snap_fast snap_fast_c t;
           match cb_of v with
           | None ->
-              S.release t.rt.strong_ar ~pid:t.pid g;
+              Ar.release t.rt.strong ~pid:t.pid g;
               { n_cb = None; n_guard = None; n_tag = slot_tag v; n_live = true }
           | Some cb -> { n_cb = Some cb; n_guard = Some g; n_tag = slot_tag v; n_live = true })
       | None -> (
           (* Slow path: protect with the reserved slot, take a real
              count, release the slot (Fig 5 lines 8–11). *)
           bump t.rt.snap_slow snap_slow_c t;
-          let v, g = protect_load t.rt.strong_ar ~pid:t.pid c.asp in
+          let v, g = Ar.protect t.rt.strong ~pid:t.pid ~ident:slot_ident c.asp in
           match cb_of v with
           | None ->
-              S.release t.rt.strong_ar ~pid:t.pid g;
+              Ar.release t.rt.strong ~pid:t.pid g;
               { n_cb = None; n_guard = None; n_tag = slot_tag v; n_live = true }
           | Some cb ->
               must_increment cb;
-              S.release t.rt.strong_ar ~pid:t.pid g;
+              Ar.release t.rt.strong ~pid:t.pid g;
               { n_cb = Some cb; n_guard = None; n_tag = slot_tag v; n_live = true })
 
     (** Scoped snapshot: dropped when [f] returns or raises. *)
@@ -731,7 +693,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       check_owner p.ws_live "weak_snapshot";
       p.ws_live <- false;
       (match (p.ws_guard, p.ws_cb) with
-      | Some g, _ -> S.release t.rt.dispose_ar ~pid:t.pid g
+      | Some g, _ -> Ar.release t.rt.dispose ~pid:t.pid g
       | None, Some cb -> decrement t.rt ~pid:t.pid cb
       | None, None -> ());
       drain t.rt ~pid:t.pid
@@ -766,7 +728,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     (* Fig 9 load *)
     let load (t : thr) (c : 'a t) : 'a weak =
       require_weak t.rt;
-      let v, g = protect_load t.rt.weak_ar ~pid:t.pid c.awp in
+      let v, g = Ar.protect t.rt.weak ~pid:t.pid ~ident:slot_ident c.awp in
       let res =
         match cb_of v with
         | None -> Weak.null ()
@@ -774,7 +736,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             weak_increment cb;
             { w_cb = Some cb; w_live = true }
       in
-      S.release t.rt.weak_ar ~pid:t.pid g;
+      Ar.release t.rt.weak ~pid:t.pid g;
       res
 
     (* Fig 9 compare_and_swap. [desired] must be backed by an owned
@@ -806,28 +768,25 @@ module Make (S : Smr.Smr_intf.S) = struct
       let rt = t.rt in
       let pid = t.pid in
       let rec retry () =
-        let v, wg = protect_load rt.weak_ar ~pid c.awp in
+        let v, wg = Ar.protect rt.weak ~pid ~ident:slot_ident c.awp in
         match cb_of v with
         | None ->
-            S.release rt.weak_ar ~pid wg;
+            Ar.release rt.weak ~pid wg;
             { ws_cb = None; ws_guard = None; ws_tag = slot_tag v; ws_live = true }
         | Some cb -> (
-            let id = Ident.of_val cb in
-            let dg = S.try_acquire rt.dispose_ar ~pid id in
+            (* For IBR/HE the dispose-side interval is re-stabilized
+               before the liveness read is trusted. *)
+            let dg = Ar.try_protect_ident rt.dispose ~pid (Ident.of_val cb) in
             let alive =
               match dg with
-              | Some g ->
-                  (* For IBR/HE the dispose-side interval must be
-                     re-stabilized before trusting the liveness read. *)
-                  settle_guard rt.dispose_ar ~pid g id;
-                  not (expired cb)
+              | Some _ -> not (expired cb)
               | None ->
                   (* Fig 9 line 26: out of dispose guards — fall back to
                      a real strong increment if the object is alive. *)
                   Cell.try_upgrade cb.cell
             in
             if alive then begin
-              S.release rt.weak_ar ~pid wg;
+              Ar.release rt.weak ~pid wg;
               {
                 ws_cb = Some cb;
                 ws_guard = dg;
@@ -836,8 +795,8 @@ module Make (S : Smr.Smr_intf.S) = struct
               }
             end
             else begin
-              (match dg with Some g -> S.release rt.dispose_ar ~pid g | None -> ());
-              S.release rt.weak_ar ~pid wg;
+              (match dg with Some g -> Ar.release rt.dispose ~pid g | None -> ());
+              Ar.release rt.weak ~pid wg;
               (* Fig 9 lines 34–35: only linearizable to return null if
                  the cell still holds the expired pointer. *)
               if slot_eq (Atomic.get c.awp) v then
@@ -869,10 +828,10 @@ module Make (S : Smr.Smr_intf.S) = struct
   let flush (t : thr) =
     let rt = t.rt in
     let pid = t.pid in
-    enqueue_all rt ~pid (S.eject ~force:true rt.strong_ar ~pid);
+    enqueue_all rt ~pid (Ar.eject ~force:true rt.strong ~pid);
     if rt.support_weak then begin
-      enqueue_all rt ~pid (S.eject ~force:true rt.weak_ar ~pid);
-      enqueue_all rt ~pid (S.eject ~force:true rt.dispose_ar ~pid)
+      enqueue_all rt ~pid (Ar.eject ~force:true rt.weak ~pid);
+      enqueue_all rt ~pid (Ar.eject ~force:true rt.dispose ~pid)
     end;
     drain rt ~pid
 
@@ -885,11 +844,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let progress = ref true in
     while !progress do
       progress := false;
-      let ops =
-        S.drain_all rt.strong_ar @ S.drain_all rt.weak_ar @ S.drain_all rt.dispose_ar
-      in
-      if ops <> [] then progress := true;
-      List.iter (fun op -> op 0) ops;
+      List.iter (fun (_, ar) -> enqueue_all rt ~pid:0 (Ar.drain_all ar)) (ars rt);
       Array.iteri
         (fun pid q ->
           while not (Queue.is_empty q) do
@@ -911,55 +866,27 @@ module Make (S : Smr.Smr_intf.S) = struct
       Repro_util.Padded.fold ( + ) 0 rt.snap_slow )
 
   (** Deferred decrements/disposals currently parked across the three
-      acquire–retire instances. For Hyaline the per-pid count is
-      already global, so this overcounts by the thread count there —
-      fine for the backlog gauge it feeds, which tracks trend, not an
-      exact census. *)
+      acquire–retire instances. *)
   let retired_backlog rt =
-    let sum ar =
-      let acc = ref 0 in
-      for pid = 0 to rt.nthreads - 1 do
-        acc := !acc + S.retired_count ar ~pid
-      done;
-      !acc
-    in
-    sum rt.strong_ar + sum rt.weak_ar + sum rt.dispose_ar
+    List.fold_left (fun acc (_, ar) -> acc + Ar.total_pending ar) 0 (ars rt)
 
-  (** CONTROLLABLE surface: one knob handle per underlying scheme
-      instance (strong / weak / dispose — the latter two exist even
-      under [~support_weak:false] but then never accumulate). The
-      adaptive controller tunes all of them in lockstep. *)
+  (** CONTROLLABLE surface: one knob handle per acquire–retire instance
+      (strong / weak / dispose — the latter two exist even under
+      [~support_weak:false] but then never accumulate). The adaptive
+      controller tunes all of them in lockstep. *)
   let control rt =
-    let h role ar =
-      {
-        Smr.Knobs.h_scheme = scheme_name ^ "." ^ role;
-        h_knobs = S.knobs ar;
-        h_force_advance = (fun () -> S.force_advance ar);
-      }
-    in
-    [ h "strong" rt.strong_ar; h "weak" rt.weak_ar; h "dispose" rt.dispose_ar ]
+    List.map
+      (fun (role, ar) -> { (Ar.handle ar) with h_scheme = scheme_name ^ "." ^ role })
+      (ars rt)
 
   (** Crash/stall recovery across all three acquire–retire instances:
       the abandoned pid's critical sections close, its announcement
       slots clear, and its parked deferred operations land in the
       shared orphan pools for survivor adoption — so one stalled
       thread cannot pin the whole runtime's backlog. *)
-  let abandon rt ~pid =
-    S.abandon rt.strong_ar ~pid;
-    S.abandon rt.weak_ar ~pid;
-    S.abandon rt.dispose_ar ~pid
+  let abandon rt ~pid = List.iter (fun (_, ar) -> Ar.abandon ar ~pid) (ars rt)
 
-  let watchdog_check rt =
-    match S.reclamation_frontier rt.strong_ar with
-    | None -> None
-    | Some frontier -> (
-        let pending = retired_backlog rt in
-        match Obs.Watchdog.check rt.wd ~pid:0 ~frontier ~pending with
-        | Obs.Watchdog.Progressing -> None
-        | Obs.Watchdog.Stuck { frontier; pending } ->
-            Some
-              (Printf.sprintf "%s: stuck (frontier=%d pending=%d)" scheme_name frontier
-                 pending))
+  let watchdog_check rt = Ar.stuck rt.strong rt.wd ~pending:(retired_backlog rt)
 end
 
 (** Re-export of the scheme-agnostic public signature (the [cdrc]

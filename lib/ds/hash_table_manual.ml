@@ -27,11 +27,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Fibonacci hashing spreads the benchmark's dense integer keys. *)
   let bucket t key = key * 2654435761 land max_int mod t.nbuckets
 
-  let with_section ctx f =
-    L.Ar.begin_critical_section ctx.t.list.L.ar ~pid:ctx.c.L.pid;
-    Fun.protect
-      ~finally:(fun () -> L.Ar.end_critical_section ctx.t.list.L.ar ~pid:ctx.c.L.pid)
-      f
+  let with_section ctx f = L.with_section ctx.c f
 
   let insert ctx key =
     with_section ctx (fun () -> L.insert_at ctx.c ctx.t.buckets.(bucket ctx.t key) key)

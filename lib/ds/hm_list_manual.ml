@@ -23,7 +23,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   type node = { key : int; next : link Atomic.t }
   and link = { dest : node Ar.managed option; marked : bool }
 
-  type t = { ar : Ar.t; head : link Atomic.t; nthreads : int; wd : Ar.watchdog }
+  type t = { ar : Ar.t; head : link Atomic.t }
   type ctx = { t : t; pid : int }
 
   let null_link = { dest = None; marked = false }
@@ -32,8 +32,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     {
       ar = Ar.create ?slots_per_thread ?epoch_freq ~max_threads ();
       head = Atomic.make null_link;
-      nthreads = max_threads;
-      wd = Ar.watchdog ();
     }
 
   let ctx t pid = { t; pid }
@@ -59,30 +57,12 @@ module Make (S : Smr.Smr_intf.S) = struct
      the protected link and its guard. Guard budget per traversal is at
      most 3, below the default 8 slots of HP/HE. *)
   let protect c cell =
-    let smr = Ar.smr c.t.ar in
-    if S.confirm_is_trivial then
-      match S.try_acquire smr ~pid:c.pid Ident.null with
-      | Some g -> (Atomic.get cell, g)
-      | None -> failwith "hm_list_manual: out of announcement slots (need >= 3)"
-    else begin
-      let v0 = Atomic.get cell in
-      match S.try_acquire smr ~pid:c.pid (ident_of v0) with
-      | None -> failwith "hm_list_manual: out of announcement slots (need >= 3)"
-      | Some g ->
-          let rec settle () =
-            let v = Atomic.get cell in
-            if S.confirm smr ~pid:c.pid g (ident_of v) then (v, g) else settle ()
-          in
-          settle ()
-    end
+    match Ar.try_protect c.t.ar ~pid:c.pid ~ident:ident_of cell with
+    | Some vg -> vg
+    | None -> failwith "hm_list_manual: out of announcement slots (need >= 3)"
 
-  let release c g = S.release (Ar.smr c.t.ar) ~pid:c.pid g
+  let release c g = Ar.release c.t.ar ~pid:c.pid g
   let release_opt c = function Some g -> release c g | None -> ()
-
-  let run_ejects c =
-    match Ar.eject c.t.ar ~pid:c.pid with
-    | [] -> ()
-    | ops -> List.iter (fun op -> op c.pid) ops
 
   exception Restart
 
@@ -135,7 +115,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                 { dest = next.dest; marked = false }
             then begin
               Ar.retire_free c.t.ar ~pid:c.pid m;
-              run_ejects c;
+              Ar.reclaim c.t.ar ~pid:c.pid;
               release_opt c !cur_g;
               cur := { next with marked = false };
               cur_g := (if next.dest = None then (release c gn; None) else Some gn);
@@ -223,7 +203,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               { dest = next.dest; marked = false }
           then begin
             Ar.retire_free c.t.ar ~pid:c.pid m;
-            run_ejects c
+            Ar.reclaim c.t.ar ~pid:c.pid
           end
           else begin
             let cu2 = search c head key in
@@ -361,9 +341,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* ------------------ Set_intf.S wrapper ---------------------------- *)
 
-  let with_section c f =
-    Ar.begin_critical_section c.t.ar ~pid:c.pid;
-    Fun.protect ~finally:(fun () -> Ar.end_critical_section c.t.ar ~pid:c.pid) f
+  let with_section c f = Ar.critically c.t.ar ~pid:c.pid f
 
   let insert c key = with_section c (fun () -> insert_at c c.t.head key)
   let remove c key = with_section c (fun () -> remove_at c c.t.head key)
@@ -382,10 +360,5 @@ module Make (S : Smr.Smr_intf.S) = struct
   let snapshot_stats _ = None
   let retired_backlog t = Ar.total_pending t.ar
   let control t = [ Ar.handle t.ar ]
-
-  let watchdog_check t =
-    match Ar.watchdog_check t.ar t.wd with
-    | Ar.Progressing -> None
-    | Ar.Stuck { frontier; pending } ->
-        Some (Printf.sprintf "%s: stuck (frontier=%d pending=%d)" name frontier pending)
+  let watchdog_check t = Ar.watchdog_check t.ar
 end

@@ -50,31 +50,15 @@ module Make (S : Smr.Smr_intf.S) = struct
     | Some a, Some b -> a == b
     | _ -> false
 
+  let out_of_slots () = failwith "ms_queue: out of announcement slots"
+
   (* Announce-and-settle on an anchor cell (head or tail). *)
   let protect c (cell : link Atomic.t) =
-    let smr = Ar.smr c.t.ar in
-    if S.confirm_is_trivial then
-      match S.try_acquire smr ~pid:c.pid Ident.null with
-      | Some g -> (Atomic.get cell, g)
-      | None -> failwith "ms_queue: out of announcement slots"
-    else begin
-      let v0 = Atomic.get cell in
-      match S.try_acquire smr ~pid:c.pid (ident_of v0) with
-      | None -> failwith "ms_queue: out of announcement slots"
-      | Some g ->
-          let rec settle () =
-            let v = Atomic.get cell in
-            if S.confirm smr ~pid:c.pid g (ident_of v) then (v, g) else settle ()
-          in
-          settle ()
-    end
+    match Ar.try_protect c.t.ar ~pid:c.pid ~ident:ident_of cell with
+    | Some vg -> vg
+    | None -> out_of_slots ()
 
-  let release c g = S.release (Ar.smr c.t.ar) ~pid:c.pid g
-
-  let run_ejects c =
-    match Ar.eject c.t.ar ~pid:c.pid with
-    | [] -> ()
-    | ops -> List.iter (fun op -> op c.pid) ops
+  let release c g = Ar.release c.t.ar ~pid:c.pid g
 
   let enqueue c v =
     Ar.begin_critical_section c.t.ar ~pid:c.pid;
@@ -139,19 +123,10 @@ module Make (S : Smr.Smr_intf.S) = struct
             | Some nm ->
                 (* Protect the successor, then re-validate the head:
                    a stale head's successor may already be reclaimed. *)
-                let smr = Ar.smr c.t.ar in
                 let gn =
-                  if S.confirm_is_trivial then Option.get (S.try_acquire smr ~pid:c.pid Ident.null)
-                  else begin
-                    match S.try_acquire smr ~pid:c.pid (Ident.of_val nm) with
-                    | None -> failwith "ms_queue: out of announcement slots"
-                    | Some g ->
-                        let rec settle () =
-                          if S.confirm smr ~pid:c.pid g (Ident.of_val nm) then g
-                          else settle ()
-                        in
-                        settle ()
-                  end
+                  match Ar.try_protect_ident c.t.ar ~pid:c.pid (Ident.of_val nm) with
+                  | Some g -> g
+                  | None -> out_of_slots ()
                 in
                 if not (link_is c.t.head lh) then begin
                   release c gn;
@@ -171,7 +146,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                   let v = (Ar.get nm).value in
                   if link_cas c.t.head lh next then begin
                     Ar.retire_free c.t.ar ~pid:c.pid hm;
-                    run_ejects c;
+                    Ar.reclaim c.t.ar ~pid:c.pid;
                     release c gn;
                     release c gh;
                     Some v

@@ -47,11 +47,12 @@ module Make (S : Smr.Smr_intf.S) = struct
     ar : Ar.t;
     root : node Ar.managed; (* the R sentinel; never retired *)
     uaf : int Atomic.t; (* unsafe-scheme violations caught and retried *)
-    nthreads : int;
-    wd : Ar.watchdog;
   }
 
-  type ctx = { t : t; pid : int; mutable held : S.guard list }
+  (* [held.(0 .. n_held-1)]: the guards this thread holds, for
+     [release_all] when an operation dies mid-traversal. An array, not
+     a list, so that protecting allocates nothing here. *)
+  type ctx = { t : t; pid : int; mutable held : Ar.guard array; mutable n_held : int }
 
   let mk_leaf ar ~pid key =
     Ar.alloc ar ~pid { key; left = Atomic.make null_edge; right = Atomic.make null_edge }
@@ -68,9 +69,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     let l_inf2b = mk_leaf ar ~pid:0 inf2 in
     let s = mk_internal ar ~pid:0 inf1 l_inf1 l_inf2a in
     let r = mk_internal ar ~pid:0 inf2 s l_inf2b in
-    { ar; root = r; uaf = Atomic.make 0; nthreads = max_threads; wd = Ar.watchdog () }
+    { ar; root = r; uaf = Atomic.make 0 }
 
-  let ctx t pid = { t; pid; held = [] }
+  let ctx t pid = { t; pid; held = Array.make 8 0; n_held = 0 }
   let uaf_events t = Atomic.get t.uaf
   let is_leaf node = (Atomic.get node.left).dest = None
   let ident_of e = match e.dest with None -> Ident.null | Some m -> Ident.of_val m
@@ -89,42 +90,40 @@ module Make (S : Smr.Smr_intf.S) = struct
     else if Atomic.compare_and_set cell cur desired then true
     else edge_cas cell expected desired
 
+  let hold c g =
+    if c.n_held = Array.length c.held then begin
+      let a = Array.make (2 * c.n_held) 0 in
+      Array.blit c.held 0 a 0 c.n_held;
+      c.held <- a
+    end;
+    c.held.(c.n_held) <- g;
+    c.n_held <- c.n_held + 1
+
   (* Protect the destination of the edge in [cell]. [None] guard means
      the announcement slots ran out: proceed unprotected (the paper's
      over-budget HP behaviour). *)
   let protect c cell =
-    let smr = Ar.smr c.t.ar in
-    if S.confirm_is_trivial then
-      match S.try_acquire smr ~pid:c.pid Ident.null with
-      | Some g ->
-          c.held <- g :: c.held;
-          (Atomic.get cell, Some g)
-      | None -> (Atomic.get cell, None)
-    else
-      match S.try_acquire smr ~pid:c.pid (ident_of (Atomic.get cell)) with
-      | None -> (Atomic.get cell, None)
-      | Some g ->
-          c.held <- g :: c.held;
-          let rec settle () =
-            let v = Atomic.get cell in
-            if S.confirm smr ~pid:c.pid g (ident_of v) then (v, Some g) else settle ()
-          in
-          settle ()
+    match Ar.try_protect c.t.ar ~pid:c.pid ~ident:ident_of cell with
+    | Some (v, g) ->
+        hold c g;
+        (v, Some g)
+    | None -> (Atomic.get cell, None)
+
+  let rec held_at held g i = if held.(i) = g then i else held_at held g (i - 1)
 
   let release c = function
     | None -> ()
     | Some g ->
-        c.held <- List.filter (fun h -> h <> g) c.held;
-        S.release (Ar.smr c.t.ar) ~pid:c.pid g
+        let i = held_at c.held g (c.n_held - 1) in
+        c.n_held <- c.n_held - 1;
+        c.held.(i) <- c.held.(c.n_held);
+        Ar.release c.t.ar ~pid:c.pid g
 
   let release_all c =
-    List.iter (fun g -> S.release (Ar.smr c.t.ar) ~pid:c.pid g) c.held;
-    c.held <- []
-
-  let run_ejects c =
-    match Ar.eject c.t.ar ~pid:c.pid with
-    | [] -> ()
-    | ops -> List.iter (fun op -> op c.pid) ops
+    for i = 0 to c.n_held - 1 do
+      Ar.release c.t.ar ~pid:c.pid c.held.(i)
+    done;
+    c.n_held <- 0
 
   (* Seek record (paper Fig 1a). Guards: ancestor, parent, leaf; the
      successor is never dereferenced so it carries no guard. *)
@@ -272,7 +271,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         end
       in
       retire_chain s.suc;
-      run_ejects c
+      Ar.reclaim c.t.ar ~pid:c.pid
     end;
     ok
 
@@ -480,10 +479,5 @@ module Make (S : Smr.Smr_intf.S) = struct
   let snapshot_stats _ = None
   let retired_backlog t = Ar.total_pending t.ar
   let control t = [ Ar.handle t.ar ]
-
-  let watchdog_check t =
-    match Ar.watchdog_check t.ar t.wd with
-    | Ar.Progressing -> None
-    | Ar.Stuck { frontier; pending } ->
-        Some (Printf.sprintf "%s: stuck (frontier=%d pending=%d)" name frontier pending)
+  let watchdog_check t = Ar.watchdog_check t.ar
 end

@@ -56,10 +56,8 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let pop c =
     Ar.begin_critical_section c.t.ar ~pid:c.pid;
-    let smr = Ar.smr c.t.ar in
     let rec go ?(attempts = 0) () =
-      let v0 = Atomic.get c.t.top in
-      match S.try_acquire smr ~pid:c.pid (ident_of v0) with
+      match Ar.try_protect c.t.ar ~pid:c.pid ~ident:ident_of c.t.top with
       | None ->
           (* Slots exhausted (HP/HE): back off with jitter and retry —
              a concurrent releaser or a woken stalled guard may free
@@ -69,34 +67,23 @@ module Make (S : Smr.Smr_intf.S) = struct
             Repro_util.Backoff.once c.bo;
             go ~attempts:(attempts + 1) ()
           end
-      | Some g ->
+      | Some (None, g) ->
           Repro_util.Backoff.reset c.bo;
-          let rec settle () =
-            let v = Atomic.get c.t.top in
-            if S.confirm smr ~pid:c.pid g (ident_of v) then v else settle ()
-          in
-          let top = settle () in
-          let result =
-            match top with
-            | None ->
-                S.release smr ~pid:c.pid g;
-                None
-            | Some m ->
-                let node = Ar.get m in
-                if link_cas c.t.top top node.next then begin
-                  S.release smr ~pid:c.pid g;
-                  Ar.retire_free c.t.ar ~pid:c.pid m;
-                  (match Ar.eject c.t.ar ~pid:c.pid with
-                  | [] -> ()
-                  | ops -> List.iter (fun op -> op c.pid) ops);
-                  Some node.value
-                end
-                else begin
-                  S.release smr ~pid:c.pid g;
-                  go ()
-                end
-          in
-          result
+          Ar.release c.t.ar ~pid:c.pid g;
+          None
+      | Some ((Some m as top), g) ->
+          Repro_util.Backoff.reset c.bo;
+          let node = Ar.get m in
+          if link_cas c.t.top top node.next then begin
+            Ar.release c.t.ar ~pid:c.pid g;
+            Ar.retire_free c.t.ar ~pid:c.pid m;
+            Ar.reclaim c.t.ar ~pid:c.pid;
+            Some node.value
+          end
+          else begin
+            Ar.release c.t.ar ~pid:c.pid g;
+            go ()
+          end
     in
     let r = go () in
     Ar.end_critical_section c.t.ar ~pid:c.pid;

@@ -147,7 +147,8 @@ let contains_substring ~sub s =
 (* Protection-protocol vocabularies. These encode the repo's naming
    conventions (Smr_intf + the manual data structures); a structure
    using different names can either adopt them or annotate. *)
-let acquire_names = [ "protect"; "protect_read"; "try_acquire"; "acquire" ]
+let acquire_names =
+  [ "protect"; "protect_read"; "try_protect"; "try_protect_ident"; "try_acquire"; "acquire" ]
 
 let release_names =
   [ "release"; "release_opt"; "release_all"; "unprotect"; "unannounce"; "discard"; "clear" ]

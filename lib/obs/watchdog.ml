@@ -42,6 +42,8 @@ let create ?(threshold = 3) ?(slack = 256) ~scheme () =
     stuck_c = Metrics.counter (prefix ^ "stuck");
   }
 
+let scheme t = t.scheme
+
 let verdict_string t ~frontier ~pending =
   Printf.sprintf "%s: stuck (frontier=%d pending=%d strikes=%d)" t.scheme frontier pending
     t.strikes

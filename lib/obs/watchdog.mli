@@ -17,6 +17,9 @@ val create : ?threshold:int -> ?slack:int -> scheme:string -> unit -> t
     the sawtooth of amortized eject scans so a healthy bounded-garbage
     scheme doesn't trip it. *)
 
+val scheme : t -> string
+(** The scheme name the watchdog was created for. *)
+
 val check : t -> pid:int -> frontier:int -> pending:int -> verdict
 (** Besides returning the verdict, feeds the telemetry layer:
     per-verdict counters, the [Verdicts] sink, and a [Watchdog] trace

@@ -145,9 +145,10 @@ let eject ?(force = false) t ~pid =
       ignore (Atomic.fetch_and_add t.pending (-List.length ops));
       Obs.Scheme_metrics.on_eject om ~pid ops
 
-(* Pending entries that are global rather than per-thread: report the
-   whole count against every pid (documented in the interface). *)
-let retired_count t ~pid:_ = Atomic.get t.pending
+(* Pending entries are global rather than per-thread: report the whole
+   count against pid 0 and none against the others, so a sum over pids
+   counts each entry once (documented in the interface). *)
+let retired_count t ~pid = if pid = 0 then Atomic.get t.pending else 0
 
 (* A crashed thread holds no private retired entries (retirement is
    global here), but an open critical section pins a unit of every

@@ -28,7 +28,10 @@
     confirm again. For EBR and Hyaline, [confirm] is constantly [true]
     and the protocol degenerates to a single load, which is exactly why
     region schemes are fast (paper §2). This protocol subsumes the
-    retry loops of Fig 4 (IBR) and of classic HP verbatim.
+    retry loops of Fig 4 (IBR) and of classic HP verbatim. Outside the
+    schemes it is written once, in [Acquire_retire.Make]
+    ([acquire]/[protect] and their [try_] forms); reference counting
+    and the data structures call those.
 
     {2 Retire / eject}
 
@@ -39,9 +42,11 @@
     returns operations that are no longer protected; it amortizes
     internally, so most calls return [[]]. Callers must run the
     returned closures {e outside} the scheme (never reentrantly), which
-    is how the paper avoids recursive ejects (§3.2); the
-    [Acquire_retire] layer provides the drain queue that enforces
-    this. A pointer may be retired several times before being ejected
+    is how the paper avoids recursive ejects (§3.2). [Acquire_retire]
+    is the only caller: its [reclaim] and [drain] run the closures
+    after [eject] has returned, and [Cdrc] parks them on a per-thread
+    pending queue that it empties iteratively, so a cascade of
+    decrements never re-enters a running one. A pointer may be retired several times before being ejected
     the same number of times (Def 3.3): every scheme here tracks retire
     {e entries}, not unique pointers, so this needs no special casing.
 
@@ -164,7 +169,9 @@ module type S = sig
 
   val retired_count : t -> pid:int -> int
   (** Number of this thread's retired-but-not-ejected entries
-      (diagnostics / memory accounting). *)
+      (diagnostics / memory accounting). A scheme with one global
+      retired list (Hyaline) reports it against pid 0 and 0 elsewhere,
+      so the sum over pids counts each entry once. *)
 
   val abandon : t -> pid:int -> unit
   (** Crash recovery: release every resource held by [pid] on its

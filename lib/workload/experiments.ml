@@ -364,9 +364,8 @@ let run_robustness_one ?(duration = 1.0) ?(seed = 42) (module S : Smr.Smr_intf.S
     curve := (now, live) :: !curve;
     if not !abandoned then begin
       peak_stalled := max !peak_stalled live;
-      (match St.Ar.watchdog_check st.St.ar wd with
-      | St.Ar.Stuck _ when !watchdog_fired = None -> watchdog_fired := Some now
-      | _ -> ());
+      let verdict = St.Ar.stuck st.St.ar wd ~pending:(St.Ar.total_pending st.St.ar) in
+      if verdict <> None && !watchdog_fired = None then watchdog_fired := Some now;
       if now >= abandon_at then begin
         (* Recovery: reap the stalled thread on its behalf. *)
         live_at_abandon := live;
@@ -514,9 +513,7 @@ let run_adaptivity_one ?(iters = 2000) ?(check_every = 32) ?config ~adapt
       match ctl with
       | None -> ()
       | Some c ->
-          let stalled =
-            match Ar.watchdog_check ar wd with Ar.Stuck _ -> true | Ar.Progressing -> false
-          in
+          let stalled = Ar.stuck ar wd ~pending:(Ar.total_pending ar) <> None in
           ignore
             (Adapt.Controller.observe c
                {

@@ -11,13 +11,23 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== structure guard (one run engine, no swallowed exceptions) =="
+echo "== structure guard (one run engine, one acquire–retire layer, no swallowed exceptions) =="
 # Every timed multi-domain loop runs on lib/workload/run.ml, and the
 # harnesses report worker exceptions instead of discarding them.
 spawns=$(grep -rn "Domain.spawn" lib bin --include='*.ml' | grep -v "^lib/workload/run.ml:" || true)
 if [ -n "$spawns" ]; then
   echo "$spawns" >&2
   echo "error: Domain.spawn outside lib/workload/run.ml" >&2
+  exit 1
+fi
+# The announce/confirm protocol and eject run in the schemes, the
+# fault-injecting wrapper and Acquire_retire only: Cdrc and the data
+# structures reach reclamation through Acquire_retire.Make.
+protocol=$(grep -rnE "S\.(confirm|eject)\b" lib bin --include='*.ml' \
+  | grep -v -e "^lib/smr/" -e "^lib/acquire_retire/" -e "^lib/fault/faulty_smr.ml:" || true)
+if [ -n "$protocol" ]; then
+  echo "$protocol" >&2
+  echo "error: S.confirm or S.eject outside lib/smr, lib/acquire_retire and faulty_smr" >&2
   exit 1
 fi
 if grep -rn "with _ -> ()" lib/workload; then
